@@ -4,7 +4,7 @@ Training pairs each image feature vector with the text of the article it
 appeared in; a paragraph-vector model embeds the text, a fusion classifier
 learns from both modalities, and a second stage distills that into an
 image-only predictor. Near-duplicate images are removed beforehand with an
-approximate nearest-neighbour index.
+exact radius join over the image features.
 """
 
 from .classifier import (
@@ -41,12 +41,8 @@ from .corpus import (
 )
 from .dedup import (
     DuplicateCluster,
-    HnswIndex,
-    HnswParams,
-    build_index,
     cluster_duplicates,
     deduplicate,
-    knn,
     knn_distance_histogram,
     save_cluster_report,
     select_canonical,

@@ -1,11 +1,12 @@
 """Command-line interface: one subcommand per pipeline operation.
 
 Settings resolve as flags > config file > built-in defaults. The config
-file is INI with [paths], [pvdm], [hnsw], [train], and [run] sections; a
-JSON object with the same section layout is accepted too. Every random
-choice flows from a single root seed (--seed, then [run] seed, then the
-WEAKBIAS_SEED environment variable, then 0) through stable named
-sub-seeds, so rerunning one stage never perturbs another.
+file is INI with [paths], [pvdm], [train], and [run] sections; a JSON
+object with the same section layout is accepted too, and any other section
+is refused. Every random choice flows from a single root seed (--seed,
+then [run] seed, then the WEAKBIAS_SEED environment variable, then 0)
+through stable named sub-seeds, so rerunning one stage never perturbs
+another.
 
 Progress goes to stderr (JSON lines with --json-logs), results to stdout
 or the requested output file. Exit codes: 0 success, 2 usage, 3 input,
@@ -46,7 +47,6 @@ from .corpus import (
     tokenize,
 )
 from .dedup import (
-    HnswParams,
     deduplicate,
     knn_distance_histogram,
     save_cluster_report,
@@ -83,6 +83,8 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
+_SECTIONS = ("paths", "pvdm", "train", "run")
+
 _BOOL_WORDS = {
     "true": True,
     "false": False,
@@ -112,12 +114,10 @@ class RunConfig:
     """Effective settings for one invocation.
 
     Input paths are checked for existence when the config is built; the
-    component seeds inside pvdm and hnsw are already the named sub-seeds
-    of the root."""
+    seed inside pvdm is already the named "text" sub-seed of the root."""
 
     paths: dict[str, str]
     pvdm: PvdmConfig
-    hnsw: HnswParams
     train: TrainSettings
     seed: int
 
@@ -160,7 +160,10 @@ class Progress:
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
-    """Sections from an INI document, or a JSON object of sections."""
+    """Sections from an INI document, or a JSON object of sections.
+
+    A section other than [paths], [pvdm], [train] and [run] raises
+    UsageError."""
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
@@ -170,13 +173,20 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
             isinstance(body, dict) for body in obj.values()
         ):
             raise UsageError("JSON config must map section names to objects")
-        return {section: dict(body) for section, body in obj.items()}
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise UsageError(f"bad config file: {exc}") from None
-    return {section: dict(parser.items(section)) for section in parser.sections()}
+        sections = {section: dict(body) for section, body in obj.items()}
+    else:
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise UsageError(f"bad config file: {exc}") from None
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    unknown = sorted(set(sections) - set(_SECTIONS))
+    if unknown:
+        raise UsageError(
+            "unknown config sections: " + ", ".join(f"[{name}]" for name in unknown)
+        )
+    return sections
 
 
 def _coerce(kind, raw, where: str):
@@ -280,10 +290,6 @@ def build_run_config(
             **_resolved(PvdmConfig, args, file_cfg, "pvdm"),
             seed=derive_seed(seed, "text"),
         ),
-        hnsw=HnswParams(
-            **_resolved(HnswParams, args, file_cfg, "hnsw"),
-            seed=derive_seed(seed, "dedup"),
-        ),
         train=TrainSettings(**_resolved(TrainSettings, args, file_cfg, "train")),
         seed=seed,
     )
@@ -299,8 +305,7 @@ def dump_config(config: RunConfig) -> str:
     parser = configparser.ConfigParser()
     if config.paths:
         parser["paths"] = {k: config.paths[k] for k in sorted(config.paths)}
-    for section_name, instance in (("pvdm", config.pvdm), ("hnsw", config.hnsw),
-                                   ("train", config.train)):
+    for section_name, instance in (("pvdm", config.pvdm), ("train", config.train)):
         parser[section_name] = {
             f.name: str(getattr(instance, f.name))
             for f in dataclasses.fields(instance)
@@ -457,7 +462,7 @@ def _cmd_dedup(args, progress: Progress) -> int:
         corpus = load_corpus(config.paths["corpus"])
         counts, edges = knn_distance_histogram(
             corpus,
-            config.hnsw,
+            k=args.k,
             sample_size=args.sample_size,
             bins=args.bins,
             seed=derive_seed(config.seed, "histogram"),
@@ -474,7 +479,7 @@ def _cmd_dedup(args, progress: Progress) -> int:
     if args.threshold is None:
         raise UsageError("--threshold is required (or use --histogram to pick one)")
     corpus = load_corpus(config.paths["corpus"])
-    kept, clusters = deduplicate(corpus, config.hnsw, args.threshold)
+    kept, clusters = deduplicate(corpus, args.threshold)
     save_corpus(kept, config.paths["out"])
     report_path = config.paths.get("report")
     if report_path:
@@ -753,10 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a kNN distance histogram instead of deduplicating")
     p.add_argument("--sample-size", dest="sample_size", type=int, default=500)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--m", dest="M", type=int, help="graph degree")
-    p.add_argument("--ef-construction", dest="ef_construction", type=int)
-    p.add_argument("--ef-search", dest="ef_search", type=int)
-    p.add_argument("--k", type=int, help="neighbors per query")
+    p.add_argument("--k", type=int, default=200,
+                   help="nearest neighbors per sampled query (--histogram)")
     p.set_defaults(func=_cmd_dedup)
 
     p = sub.add_parser("train-stage1", parents=[common],

@@ -168,6 +168,13 @@ def _parse_record(obj: dict, feature_dim: int, lineno: int) -> Sample:
         vec = np.asarray([float(x) for x in feature], dtype=np.float64)
     except (TypeError, ValueError):
         raise InputError(f"sample {sample_id!r}: feature has non-numeric entries") from None
+    with np.errstate(over="ignore"):
+        vec = vec.astype(np.float32)
+    if not np.isfinite(vec).all():
+        raise InputError(
+            f"line {lineno}: sample {sample_id!r}: feature has NaN or entries "
+            "outside the float32 range"
+        )
     topics = obj["topics"]
     if not isinstance(topics, list) or not all(isinstance(t, str) for t in topics):
         raise InputError(f"sample {sample_id!r}: topics must be a list of strings")
@@ -176,7 +183,7 @@ def _parse_record(obj: dict, feature_dim: int, lineno: int) -> Sample:
         raise InputError(f"sample {sample_id!r}: text must be a string")
     return Sample(
         id=sample_id,
-        feature=vec.astype(np.float32),
+        feature=vec,
         tokens=tokenize(text),
         side=SideLabel.parse(obj["side"]),
         source=str(obj["source"]),
@@ -189,8 +196,9 @@ def load_corpus(path: str) -> Corpus:
     """Read a JSONL corpus: one header line, then one record per line.
 
     Numbers are parsed at full precision and features stored as float32.
-    Malformed lines, feature-length mismatches, and duplicate ids raise
-    InputError naming the line or sample.
+    Malformed lines, feature-length mismatches, features that are not
+    finite in float32, and duplicate ids raise InputError naming the line
+    or sample.
     """
     samples: list[Sample] = []
     seen: set[str] = set()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import threading
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,9 @@ class PvdmModel:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Clipping at 60 keeps exp() finite; sigmoid is saturated far earlier.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    # np.minimum/np.maximum give np.clip's values without its Python-level
+    # dispatch.
+    return 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(x, 60.0), -60.0)))
 
 
 def path_gradients(
@@ -105,11 +108,18 @@ def path_gradients(
     """
     z = nodes @ context
     signs = 1.0 - 2.0 * np.asarray(bits, dtype=z.dtype)
+    return _signed_path_gradients(context, nodes, signs, z)
+
+
+def _signed_path_gradients(
+    context: np.ndarray, nodes: np.ndarray, signs: np.ndarray, z: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """path_gradients given the path's signs (1 - 2 bits) and z = nodes @ context."""
     probs = _sigmoid(signs * z)
-    loss = float(-np.log(probs).sum())
+    loss = -float(np.add.reduce(np.log(probs)))  # = the sum of -log, exactly
     coef = (probs - 1.0) * signs  # d(-log sigmoid(s z)) / dz
     grad_context = coef @ nodes
-    grad_nodes = np.outer(coef, context)
+    grad_nodes = coef[:, None] * context  # np.outer, without its overhead
     return loss, grad_context, grad_nodes
 
 
@@ -172,14 +182,19 @@ def _position_plan(token_idx: np.ndarray, window: int, dtype) -> list[tuple]:
     Window membership never changes across epochs, so this is built once.
     """
     plan = []
-    n = len(token_idx)
-    for t in range(n):
-        lo = t - window
-        if lo < 0:
-            lo = 0
-        ctx = np.concatenate((token_idx[lo:t], token_idx[t + 1 : t + 1 + window]))
-        uniq, repeats = np.unique(ctx, return_counts=True)
-        plan.append((int(token_idx[t]), uniq, repeats.astype(dtype), ctx.size + 1))
+    tokens = token_idx.tolist()  # windows are a few ids: np.unique costs more
+    for t, target in enumerate(tokens):
+        ctx = tokens[max(t - window, 0) : t] + tokens[t + 1 : t + 1 + window]
+        counts = Counter(ctx)
+        uniq = sorted(counts)
+        plan.append(
+            (
+                target,
+                np.array(uniq, dtype=token_idx.dtype),
+                np.array([counts[u] for u in uniq], dtype=dtype),
+                len(ctx) + 1,
+            )
+        )
     return plan
 
 
@@ -202,29 +217,42 @@ def _train_document(
     node_vectors: np.ndarray,
     plan: list[tuple],
     paths: list[np.ndarray],
-    codes: list[np.ndarray],
+    signs: list[np.ndarray],
     decay: _LinearDecay,
     update_base: int,
+    shared: bool = False,
 ) -> float:
     """One SGD pass over a document, mutating all three parameter matrices
-    in place. Returns the summed position loss (measured pre-update)."""
+    in place. Returns the summed position loss (measured pre-update).
+
+    Alone, the trainer writes back the node and word rows it read (paths
+    and windows hold distinct rows, so this equals an in-place update
+    without gathering them again). Shared with racing workers, it updates
+    them in place, so a write loses only updates made since that gather."""
     total_loss = 0.0
     for t, (target, uniq, repeats, m) in enumerate(plan):
         if m > 1:
-            context = (doc_row + repeats @ word_vectors[uniq]) / m
+            words = word_vectors[uniq]
+            context = (doc_row + repeats @ words) / m
         else:
             context = doc_row.copy()
         path = paths[target]
-        loss, grad_context, grad_nodes = path_gradients(
-            context, node_vectors[path], codes[target]
+        nodes = node_vectors[path]
+        loss, grad_context, grad_nodes = _signed_path_gradients(
+            context, nodes, signs[target], nodes @ context
         )
         total_loss += loss
         lr = decay.at(update_base + t)
-        node_vectors[path] -= lr * grad_nodes
         delta = grad_context * (-lr / m)
         doc_row += delta
-        if m > 1:
-            word_vectors[uniq] += repeats[:, None] * delta
+        if shared:
+            node_vectors[path] -= lr * grad_nodes
+            if m > 1:
+                word_vectors[uniq] += repeats[:, None] * delta
+        else:
+            node_vectors[path] = nodes - lr * grad_nodes
+            if m > 1:
+                word_vectors[uniq] = words + repeats[:, None] * delta
     return total_loss
 
 
@@ -281,7 +309,7 @@ def train_pvdm(
     plans = {
         i: _position_plan(token_rows[i], config.window, dtype) for i in trainable
     }
-    codes = [c.astype(dtype) for c in vocab.codes]
+    signs = [1.0 - 2.0 * c.astype(dtype) for c in vocab.codes]
     paths = vocab.paths
 
     if workers <= 1:
@@ -295,7 +323,7 @@ def train_pvdm(
                     node_vectors,
                     plans[i],
                     paths,
-                    codes,
+                    signs,
                     decay,
                     update_count,
                 )
@@ -327,9 +355,10 @@ def train_pvdm(
                     node_vectors,
                     plans[i],
                     paths,
-                    codes,
+                    signs,
                     shard_decay,
                     base,
+                    shared=True,
                 )
                 base += positions[i]
 

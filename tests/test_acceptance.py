@@ -40,7 +40,6 @@ from weakbias.corpus import (
     vocabulary_from_counts,
 )
 from weakbias.dedup import (
-    HnswParams,
     cluster_duplicates,
     deduplicate,
     select_canonical,
@@ -409,15 +408,11 @@ class TestDedupOracle:
         started = time.time()
         corpus, truth = self._planted_corpus()
         oracle = self._brute_force_clusters(corpus, self.THRESHOLD)
-        exhaustive = cluster_duplicates(
-            corpus,
-            HnswParams(ef_search=len(corpus), k=len(corpus)),
-            self.THRESHOLD,
-        )
+        exhaustive = cluster_duplicates(corpus, self.THRESHOLD)
         got = {frozenset(c.member_ids): c.canonical_id for c in exhaustive}
         oracle_match = got == oracle and set(got) == set(truth)
 
-        default_clusters = cluster_duplicates(corpus, HnswParams(), self.THRESHOLD)
+        default_clusters = cluster_duplicates(corpus, self.THRESHOLD)
         true_pairs = {
             pair
             for members in truth
@@ -433,8 +428,8 @@ class TestDedupOracle:
         }
         recall = len(found_pairs & true_pairs) / len(true_pairs)
 
-        deduped, _ = deduplicate(corpus, HnswParams(), self.THRESHOLD)
-        again, second_clusters = deduplicate(deduped, HnswParams(), self.THRESHOLD)
+        deduped, _ = deduplicate(corpus, self.THRESHOLD)
+        again, second_clusters = deduplicate(deduped, self.THRESHOLD)
         elapsed = time.time() - started
         _verdict(
             "dedup-oracle",

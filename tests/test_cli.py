@@ -135,6 +135,22 @@ class TestConfigResolution:
                    "--corpus", workspace / "corpus.jsonl")
         assert code == EXIT_USAGE
 
+    def test_unknown_sections_rejected(self):
+        with pytest.raises(UsageError, match=r"\[hnswx\], \[pvdmm\]"):
+            parse_config_text("[pvdmm]\ndim = 3\n[hnswx]\nm = 4\n[run]\nseed = 1\n")
+        with pytest.raises(UsageError, match=r"\[hnsw\]"):
+            parse_config_text('{"hnsw": {"k": 10}}')
+
+    def test_hnsw_section_exits_two(self, workspace, tmp_path, capsys):
+        """The dedup join has no settings, so a stale [hnsw] is refused."""
+        config = tmp_path / "run.ini"
+        config.write_text("[hnsw]\nk = 10\n")
+        code = run("dedup", "--config", config, "--corpus",
+                   workspace / "corpus.jsonl", "--threshold", "0.5",
+                   "--out", tmp_path / "out.jsonl")
+        assert code == EXIT_USAGE
+        assert "[hnsw]" in capsys.readouterr().err
+
     def test_dump_round_trips(self, workspace, tmp_path, capsys):
         """The dumped effective config, fed back in, dumps byte-identically."""
         first = tmp_path / "first.ini"

@@ -127,6 +127,20 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match="bad1"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39])
+    def test_non_finite_feature_names_line_and_sample(self, tmp_path, bad):
+        """1e39 is finite as parsed but overflows the stored float32."""
+        path = self.write(
+            tmp_path,
+            [
+                self.header(),
+                self.record("ok", [1.0, 2.0, 3.0]),
+                self.record("bad7", [1.0, bad, 3.0]),
+            ],
+        )
+        with pytest.raises(InputError, match="line 3: sample 'bad7'"):
+            load_corpus(path)
+
     def test_duplicate_id_names_line(self, tmp_path):
         path = self.write(
             tmp_path,
