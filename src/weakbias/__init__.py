@@ -52,6 +52,7 @@ from .doc2vec import (
     PvdmModel,
     hs_probability,
     infer_document,
+    infer_documents,
     load_embeddings,
     load_model,
     nearest_words,

@@ -53,7 +53,7 @@ from .dedup import (
 )
 from .doc2vec import (
     PvdmConfig,
-    infer_document,
+    infer_documents,
     load_embeddings,
     load_model,
     nearest_words,
@@ -401,7 +401,6 @@ def _cmd_train_text(args, progress: Progress) -> int:
     model = train_pvdm(
         corpus,
         config.pvdm,
-        workers=args.workers or 1,
         on_epoch=progress.epoch_hook("pvdm"),
     )
     save_model(model, config.paths["model_out"])
@@ -424,15 +423,19 @@ def _cmd_infer_text(args, progress: Progress) -> int:
     )
     model = load_model(config.paths["model"])
     corpus = load_corpus(config.paths["corpus"])
-    vectors: dict[str, np.ndarray] = {}
     for sample in corpus:
-        vector = infer_document(
-            model,
-            sample.tokens,
-            steps=args.steps if args.steps is not None else 50,
-            seed=derive_seed(config.seed, f"infer-{sample.id}"),
-        )
-        vectors[sample.id] = vector if args.raw else normalize_embedding(vector)
+        if not any(t in model.vocabulary for t in sample.tokens):
+            raise InputError(f"sample {sample.id!r} has no in-vocabulary tokens")
+    matrix = infer_documents(
+        model,
+        [sample.tokens for sample in corpus],
+        steps=args.steps if args.steps is not None else 50,
+        seeds=[derive_seed(config.seed, f"infer-{sample.id}") for sample in corpus],
+    )
+    vectors = {
+        sample.id: vector if args.raw else normalize_embedding(vector)
+        for sample, vector in zip(corpus, matrix)
+    }
     save_embeddings(vectors, config.paths["embeddings_out"])
     progress.event(
         "saved", embeddings=config.paths["embeddings_out"], count=len(vectors)
@@ -723,8 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", dest="min_count", type=int)
     p.add_argument("--initial-lr", dest="initial_lr", type=float)
     p.add_argument("--final-lr", dest="final_lr", type=float)
-    p.add_argument("--workers", type=int,
-                   help="lock-free parallel training (nondeterministic)")
     p.set_defaults(func=_cmd_train_text)
 
     p = sub.add_parser("infer-text", parents=[common],

@@ -92,7 +92,7 @@ class Corpus:
         """All feature vectors stacked in corpus order, float32 (n, dim)."""
         if not self.samples:
             return np.zeros((0, self.feature_dim), dtype=np.float32)
-        return np.stack([s.feature for s in self.samples]).astype(np.float32)
+        return np.stack([s.feature for s in self.samples]).astype(np.float32, copy=False)
 
     def subset(self, ids: Iterable[str]) -> "Corpus":
         """New corpus with the given samples, original order preserved."""

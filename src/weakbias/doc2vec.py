@@ -9,14 +9,15 @@ the sign is + when the path goes left (code bit 0) and - when it goes right.
 Leaf probabilities therefore sum to one by construction.
 
 Plain SGD, one update per position, learning rate decayed linearly over the
-whole schedule. Training is single-threaded and bit-reproducible by default;
-an optional lock-free multi-worker mode trades determinism for speed.
+whole schedule. Training is single-threaded and bit-reproducible. Inference
+fits only a fresh document vector against frozen word and node vectors, so
+unseen documents are independent and are embedded together, one position
+of every document per array update.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -220,15 +221,13 @@ def _train_document(
     signs: list[np.ndarray],
     decay: _LinearDecay,
     update_base: int,
-    shared: bool = False,
 ) -> float:
     """One SGD pass over a document, mutating all three parameter matrices
     in place. Returns the summed position loss (measured pre-update).
 
-    Alone, the trainer writes back the node and word rows it read (paths
-    and windows hold distinct rows, so this equals an in-place update
-    without gathering them again). Shared with racing workers, it updates
-    them in place, so a write loses only updates made since that gather."""
+    The node and word rows read for a position are written back from that
+    copy: paths and windows hold distinct rows, so this equals an in-place
+    update without gathering them again."""
     total_loss = 0.0
     for t, (target, uniq, repeats, m) in enumerate(plan):
         if m > 1:
@@ -245,14 +244,9 @@ def _train_document(
         lr = decay.at(update_base + t)
         delta = grad_context * (-lr / m)
         doc_row += delta
-        if shared:
-            node_vectors[path] -= lr * grad_nodes
-            if m > 1:
-                word_vectors[uniq] += repeats[:, None] * delta
-        else:
-            node_vectors[path] = nodes - lr * grad_nodes
-            if m > 1:
-                word_vectors[uniq] = words + repeats[:, None] * delta
+        node_vectors[path] = nodes - lr * grad_nodes
+        if m > 1:
+            word_vectors[uniq] = words + repeats[:, None] * delta
     return total_loss
 
 
@@ -260,7 +254,6 @@ def train_pvdm(
     corpus: Corpus,
     config: PvdmConfig,
     *,
-    workers: int = 1,
     dtype=np.float32,
     on_epoch=None,
 ) -> PvdmModel:
@@ -268,9 +261,7 @@ def train_pvdm(
 
     Word and document vectors start uniform in [-0.5/dim, 0.5/dim], inner
     node vectors at zero. Documents with no in-vocabulary tokens are skipped
-    (counted in a single warning). With workers > 1 the updates are applied
-    without locking, so results are fast but not reproducible; the default
-    is deterministic.
+    (counted in a single warning).
     """
     if len(corpus) == 0:
         raise InputError("cannot train on an empty corpus")
@@ -312,62 +303,22 @@ def train_pvdm(
     signs = [1.0 - 2.0 * c.astype(dtype) for c in vocab.codes]
     paths = vocab.paths
 
-    if workers <= 1:
-        update_count = 0
-        for epoch in range(config.epochs):
-            epoch_loss = 0.0
-            for i in trainable:
-                epoch_loss += _train_document(
-                    doc_vectors[i],
-                    word_vectors,
-                    node_vectors,
-                    plans[i],
-                    paths,
-                    signs,
-                    decay,
-                    update_count,
-                )
-                update_count += positions[i]
-            mean_loss = epoch_loss / total_positions
-            if not np.isfinite(mean_loss):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
-            model.epoch_losses.append(mean_loss)
-            if on_epoch is not None:
-                on_epoch(epoch=epoch, loss=mean_loss)
-        return model
-
-    # Lock-free multi-worker mode: shards of documents race on the shared
-    # arrays. Each worker runs its own schedule slice.
-    shards = [trainable[w::workers] for w in range(workers)]
-    shard_positions = [sum(positions[i] for i in shard) for shard in shards]
+    update_count = 0
     for epoch in range(config.epochs):
-        losses = [0.0] * workers
-
-        def run(w: int, epoch: int = epoch) -> None:
-            base = epoch * shard_positions[w]
-            shard_decay = _LinearDecay(
-                config.initial_lr, config.final_lr, config.epochs * shard_positions[w]
+        epoch_loss = 0.0
+        for i in trainable:
+            epoch_loss += _train_document(
+                doc_vectors[i],
+                word_vectors,
+                node_vectors,
+                plans[i],
+                paths,
+                signs,
+                decay,
+                update_count,
             )
-            for i in shards[w]:
-                losses[w] += _train_document(
-                    doc_vectors[i],
-                    word_vectors,
-                    node_vectors,
-                    plans[i],
-                    paths,
-                    signs,
-                    shard_decay,
-                    base,
-                    shared=True,
-                )
-                base += positions[i]
-
-        threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        mean_loss = sum(losses) / total_positions
+            update_count += positions[i]
+        mean_loss = epoch_loss / total_positions
         if not np.isfinite(mean_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         model.epoch_losses.append(mean_loss)
@@ -376,59 +327,102 @@ def train_pvdm(
     return model
 
 
+def infer_documents(
+    model: PvdmModel,
+    docs: list[list[str]],
+    steps: int = 50,
+    seeds: list[int | None] | None = None,
+) -> np.ndarray:
+    """Embed unseen documents against frozen word and node vectors.
+
+    Each document gets a fresh vector (same init distribution as training,
+    drawn from its seed; None picks the model's default inference seed)
+    that the training update optimizes for `steps` passes over its tokens,
+    with the learning rate schedule compressed to fit that document. Nothing
+    shared moves, so row i of the (len(docs), dim) result is the same
+    whichever other documents share the batch.
+    """
+    if steps < 1:
+        raise InputError(f"steps must be >= 1, got {steps}")
+    if seeds is None:
+        seeds = [None] * len(docs)
+    if len(seeds) != len(docs):
+        raise InputError(f"got {len(seeds)} seeds for {len(docs)} documents")
+    vocab, cfg = model.vocabulary, model.config
+    dim, dtype = model.dim, model.word_vectors.dtype
+    rows = [np.array([vocab.index[t] for t in d if t in vocab], np.int64) for d in docs]
+    for i, row in enumerate(rows):
+        if row.size == 0:
+            raise InputError(f"document {i} has no in-vocabulary tokens, nothing to infer from")
+    if not rows:
+        return np.zeros((0, dim), dtype=dtype)
+
+    # Longest first, so the documents still running at position t are the
+    # prefix [:running[t]]; the batch is stored position-major, position t
+    # at flat rows offsets[t]:offsets[t + 1].
+    order = np.argsort([-r.size for r in rows], kind="stable")
+    lengths = np.array([rows[i].size for i in order])
+    running = len(rows) - np.cumsum(np.bincount(lengths))[: lengths[0]]
+    offsets = np.concatenate([[0], np.cumsum(running)])
+    position = np.repeat(np.arange(lengths[0]), running)
+    length = np.concatenate([lengths[:k] for k in running])
+
+    # Per position: the target's Huffman path and signs, padded to the
+    # vocabulary's depth with the root and sign 0 (a padded node adds
+    # exactly +-0), the averaging denominator m, and z_window, the path's
+    # dot products with the window sum. The window is frozen, so z_window
+    # is constant; z = (nodes @ doc + z_window) / m needs no window sums.
+    depth = max(p.size for p in vocab.paths)
+    paths = np.full((offsets[-1], depth), vocab.n_inner_nodes - 1, dtype=np.int32)
+    signs = np.zeros((offsets[-1], depth), dtype=dtype)
+    z_window = np.zeros((offsets[-1], depth), dtype=dtype)
+    m = np.empty(offsets[-1])
+    for r, i in enumerate(order):
+        for t, (word, uniq, repeats, m_t) in enumerate(
+            _position_plan(rows[i], cfg.window, dtype)
+        ):
+            j, n = offsets[t] + r, vocab.paths[word].size
+            paths[j, :n], signs[j, :n] = vocab.paths[word], 1.0 - 2.0 * vocab.codes[word]
+            m[j] = m_t
+            if m_t > 1:
+                z_window[j, :n] = model.node_vectors[vocab.paths[word]] @ (
+                    repeats @ model.word_vectors[uniq]
+                )
+    m_cast = m.astype(dtype)[:, None]
+
+    vecs = np.empty((len(rows), dim), dtype=dtype)
+    for r, i in enumerate(order):
+        seed = derive_seed(cfg.seed, "pvdm-infer") if seeds[i] is None else seeds[i]
+        vecs[r] = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim)
+    for step in range(steps):
+        # _LinearDecay over each document's own steps * length updates (the
+        # fraction stays below 1), in float64; the step size is rounded to
+        # the model dtype before use, as a Python float is by numpy.
+        frac = (step * length + position) / (steps * length)
+        lr = cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * frac
+        scale = (-lr / m).astype(dtype)
+        for t in range(lengths[0]):
+            a, b = offsets[t], offsets[t + 1]
+            doc = vecs[: b - a]
+            nodes = model.node_vectors[paths[a:b]]
+            z = (np.einsum("kld,kd->kl", nodes, doc) + z_window[a:b]) / m_cast[a:b]
+            coef = (_sigmoid(signs[a:b] * z) - 1.0) * signs[a:b]
+            doc += np.einsum("kl,kld->kd", coef, nodes) * scale[a:b, None]
+    if not np.all(np.isfinite(vecs)):
+        raise NumericError("inference produced a non-finite document vector")
+    out = np.empty_like(vecs)
+    out[order] = vecs
+    return out
+
+
 def infer_document(
     model: PvdmModel,
     tokens: list[str],
     steps: int = 50,
     seed: int | None = None,
 ) -> np.ndarray:
-    """Embed an unseen document against frozen word and node vectors.
-
-    A fresh document vector (same init distribution as training) is
-    optimized by the training update for `steps` passes over the token
-    sequence, with the learning rate schedule compressed to fit.
-    """
-    vocab = model.vocabulary
-    token_idx = np.asarray(
-        [vocab.index[t] for t in tokens if t in vocab.index], dtype=np.int64
-    )
-    if token_idx.size == 0:
-        raise InputError("document has no in-vocabulary tokens, nothing to infer from")
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    cfg = model.config
-    if seed is None:
-        seed = derive_seed(cfg.seed, "pvdm-infer")
-    rng = np.random.default_rng(seed)
-    dim = model.dim
-    dtype = model.word_vectors.dtype
-    doc_vec = rng.uniform(-0.5 / dim, 0.5 / dim, dim).astype(dtype)
-    decay = _LinearDecay(cfg.initial_lr, cfg.final_lr, steps * token_idx.size)
-
-    # Word and node vectors are frozen, so each position's window sum is a
-    # constant; precompute everything and only move the document vector.
-    plan = _position_plan(token_idx, cfg.window, dtype)
-    positions = [
-        (
-            model.node_vectors[vocab.paths[target]],
-            1.0 - 2.0 * vocab.codes[target].astype(dtype),
-            repeats @ model.word_vectors[uniq] if m > 1 else None,
-            m,
-        )
-        for (target, uniq, repeats, m) in plan
-    ]
-    update = 0
-    for _ in range(steps):
-        for nodes, signs, wsum, m in positions:
-            context = (doc_vec + wsum) / m if m > 1 else doc_vec
-            probs = _sigmoid(signs * (nodes @ context))
-            coef = (probs - 1.0) * signs
-            lr = decay.at(update)
-            doc_vec += (coef @ nodes) * (-lr / m)
-            update += 1
-    if not np.all(np.isfinite(doc_vec)):
-        raise NumericError("inference produced a non-finite document vector")
-    return doc_vec
+    """Embed one unseen document: infer_documents on a batch of one."""
+    return infer_documents(model, [tokens], steps, [seed])[0]
 
 
 def nearest_words(

@@ -48,7 +48,7 @@ from weakbias.doc2vec import (
     PvdmConfig,
     PvdmModel,
     hs_probability,
-    infer_document,
+    infer_documents,
     load_embeddings,
     load_model,
     nearest_words,
@@ -179,19 +179,13 @@ def _text_guided_pipeline(train: Corpus, test: Corpus, seed: int) -> list[SideLa
         hidden=64,
         fused=12,
     )
-    docs = np.stack(
-        [
-            normalize_embedding(
-                infer_document(
-                    text_model,
-                    s.tokens,
-                    steps=50,
-                    seed=derive_seed(seed, f"infer-{s.id}"),
-                )
-            )
-            for s in test
-        ]
+    inferred = infer_documents(
+        text_model,
+        [s.tokens for s in test],
+        steps=50,
+        seeds=[derive_seed(seed, f"infer-{s.id}") for s in test],
     )
+    docs = np.stack([normalize_embedding(v) for v in inferred])
     return _sides_from_logits(forward_stage1(model, test.features(), docs))
 
 

@@ -14,9 +14,11 @@ from weakbias.cli import (
     main,
     parse_config_text,
 )
-from weakbias.corpus import load_corpus
+from weakbias.corpus import SideLabel, load_corpus, save_corpus
 from weakbias.doc2vec import load_embeddings, load_model
 from weakbias.errors import UsageError
+
+from helpers import make_corpus
 
 
 def run(*argv) -> int:
@@ -234,6 +236,29 @@ class TestArtifacts:
         inferred = load_embeddings(str(out))
         corpus = load_corpus(str(workspace / "corpus.jsonl"))
         assert set(inferred) == set(corpus.ids())
+
+    def test_infer_text_names_the_out_of_vocabulary_sample(
+        self, workspace, tmp_path, capsys
+    ):
+        corpus = tmp_path / "oov.jsonl"
+        save_corpus(
+            make_corpus([("known", "red00 red01", SideLabel.LEFT),
+                         ("unheard", "qqq zzz", SideLabel.RIGHT)]),
+            str(corpus),
+        )
+        assert run("infer-text", "--model", workspace / "text.pv",
+                   "--corpus", corpus, "--embeddings-out", tmp_path / "e.jsonl",
+                   "--steps", 2) == EXIT_INPUT
+        assert "'unheard' has no in-vocabulary tokens" in capsys.readouterr().err
+        assert not (tmp_path / "e.jsonl").exists()
+
+    def test_infer_text_reruns_byte_identical(self, workspace, tmp_path, capsys):
+        outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for out in outs:
+            assert run("infer-text", "--model", workspace / "text.pv",
+                       "--corpus", workspace / "corpus.jsonl",
+                       "--embeddings-out", out, "--steps", 3, "--seed", 5) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_nearest_words_output(self, workspace, capsys):
         assert run("nearest-words", "--model", workspace / "text.pv",

@@ -331,3 +331,21 @@ class TestSplit:
         pos = {sid: i for i, sid in enumerate(corpus.ids())}
         assert train.ids() == sorted(train.ids(), key=pos.__getitem__)
         assert test.ids() == sorted(test.ids(), key=pos.__getitem__)
+
+
+class TestFeatures:
+    def test_stacks_float32_rows_in_order(self, small_corpus):
+        features = small_corpus.features()
+        assert features.dtype == np.float32
+        np.testing.assert_array_equal(
+            features, np.stack([s.feature for s in small_corpus])
+        )
+
+    def test_float64_sample_comes_back_float32(self):
+        corpus = make_corpus([("a", "x", SideLabel.LEFT), ("b", "y", SideLabel.RIGHT)])
+        corpus.samples[1].feature = np.array([0.1, 0.2, 0.3, 1e-40])
+        features = corpus.features()
+        assert features.dtype == np.float32
+        np.testing.assert_array_equal(
+            features[1], np.array([0.1, 0.2, 0.3, 1e-40], dtype=np.float32)
+        )

@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakbias.corpus import SideLabel, vocabulary_from_counts
 from weakbias.doc2vec import (
     PvdmConfig,
     PvdmModel,
+    _LinearDecay,
+    _position_plan,
+    _sigmoid,
     hs_probability,
     infer_document,
+    infer_documents,
     load_embeddings,
     load_model,
     nearest_words,
@@ -19,6 +25,7 @@ from weakbias.doc2vec import (
     train_pvdm,
 )
 from weakbias.errors import InputError
+from weakbias.seeding import derive_seed
 
 from helpers import make_corpus, two_topic_corpus
 
@@ -213,16 +220,6 @@ class TestTraining:
         model = train_pvdm(corpus, self.config(epochs=2), dtype=np.float64)
         assert model.word_vectors.dtype == np.float64
 
-    def test_lockfree_workers_close_to_single_thread(self):
-        """Racing workers stay finite and land near the sequential loss."""
-        corpus = two_topic_corpus(n_docs=60, tokens_per_doc=25)
-        cfg = self.config(epochs=6)
-        single = train_pvdm(corpus, cfg)
-        multi = train_pvdm(corpus, cfg, workers=2)
-        assert np.all(np.isfinite(multi.word_vectors))
-        assert np.all(np.isfinite(multi.doc_vectors))
-        assert multi.epoch_losses[-1] <= single.epoch_losses[-1] * 1.05
-
 
 @pytest.fixture(scope="module")
 def inference_model():
@@ -254,13 +251,18 @@ class TestInference:
     def test_model_untouched_by_inference(self, model):
         before = model.word_vectors.copy()
         nodes_before = model.node_vectors.copy()
+        docs_before = model.doc_vectors.copy()
         infer_document(model, ["red0", "blue1", "red3"])
+        infer_documents(model, [["red0", "blue1", "red3"], ["blue2"]] * 3)
         np.testing.assert_array_equal(model.word_vectors, before)
         np.testing.assert_array_equal(model.node_vectors, nodes_before)
+        np.testing.assert_array_equal(model.doc_vectors, docs_before)
 
     def test_no_vocab_tokens_is_an_error(self, model):
         with pytest.raises(InputError, match="in-vocabulary"):
             infer_document(model, ["zzz", "qqq"])
+        with pytest.raises(InputError, match="document 1 has no in-vocabulary"):
+            infer_documents(model, [["red0"], ["zzz", "qqq"]])
 
     def test_inferred_vector_lands_near_its_topic(self, model):
         """Re-embedding a training document finds same-topic neighbours."""
@@ -280,6 +282,123 @@ class TestInference:
     def test_single_step_runs(self, model):
         vec = infer_document(model, ["red0"], steps=1)
         assert vec.shape == (16,)
+
+
+def reference_infer(model, tokens, steps, seed):
+    """The per-document, per-position inference loop that infer_documents
+    batches: the oracle its results are compared against."""
+    vocab, cfg = model.vocabulary, model.config
+    token_idx = np.asarray(
+        [vocab.index[t] for t in tokens if t in vocab.index], dtype=np.int64
+    )
+    if seed is None:
+        seed = derive_seed(cfg.seed, "pvdm-infer")
+    dim, dtype = model.dim, model.word_vectors.dtype
+    doc_vec = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim).astype(dtype)
+    decay = _LinearDecay(cfg.initial_lr, cfg.final_lr, steps * token_idx.size)
+    positions = [
+        (
+            model.node_vectors[vocab.paths[target]],
+            1.0 - 2.0 * vocab.codes[target].astype(dtype),
+            repeats @ model.word_vectors[uniq] if m > 1 else None,
+            m,
+        )
+        for (target, uniq, repeats, m) in _position_plan(token_idx, cfg.window, dtype)
+    ]
+    update = 0
+    for _ in range(steps):
+        for nodes, signs, wsum, m in positions:
+            context = (doc_vec + wsum) / m if m > 1 else doc_vec
+            coef = (_sigmoid(signs * (nodes @ context)) - 1.0) * signs
+            doc_vec += (coef @ nodes) * (-decay.at(update) / m)
+            update += 1
+    return doc_vec
+
+
+def random_model(n_words, dim, window, dtype, seed):
+    """Untrained model with random word and node vectors over n_words words
+    with random counts (so Huffman paths of several lengths)."""
+    rng = np.random.default_rng(seed)
+    counts = {f"w{i}": int(c) for i, c in enumerate(rng.integers(1, 50, n_words))}
+    vocab = vocabulary_from_counts(counts, 1)
+    return PvdmModel(
+        word_vectors=rng.normal(size=(len(vocab), dim)).astype(dtype),
+        node_vectors=rng.normal(size=(vocab.n_inner_nodes, dim)).astype(dtype),
+        doc_vectors=np.zeros((0, dim), dtype=dtype),
+        vocabulary=vocab,
+        config=PvdmConfig(dim=dim, window=window, min_count=1, seed=int(seed)),
+    )
+
+
+@st.composite
+def ragged_batches(draw):
+    n_words = draw(st.integers(1, 12))
+    model = random_model(
+        n_words,
+        dim=draw(st.integers(1, 8)),
+        window=draw(st.integers(1, 6)),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    # "oov" is never in the vocabulary; it is dropped before the windows.
+    word = st.sampled_from([f"w{i}" for i in range(n_words)] + ["oov"])
+    docs = draw(
+        st.lists(
+            st.lists(word, min_size=1, max_size=40).filter(lambda d: set(d) != {"oov"}),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    docs += [docs[i] for i in draw(st.lists(st.integers(0, len(docs) - 1), max_size=3))]
+    seeds = draw(st.lists(st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+                          min_size=len(docs), max_size=len(docs)))
+    return model, docs, seeds, draw(st.integers(1, 3))
+
+
+class TestBatchedInference:
+    @given(case=ragged_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_document_loop(self, case):
+        model, docs, seeds, steps = case
+        batch = infer_documents(model, docs, steps, seeds)
+        assert batch.shape == (len(docs), model.dim)
+        assert batch.dtype == model.word_vectors.dtype
+        for row, tokens, seed in zip(batch, docs, seeds):
+            expected = reference_infer(model, tokens, steps, seed)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-5)
+            np.testing.assert_array_equal(row, infer_document(model, tokens, steps, seed))
+
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, inference_model):
+        docs = [s.tokens for s in two_topic_corpus(n_docs=12, tokens_per_doc=30)]
+        docs = [d[: 3 + 2 * i] for i, d in enumerate(docs)]  # ragged
+        seeds = list(range(len(docs)))
+        batch = infer_documents(inference_model, docs, 5, seeds)
+        order = np.random.default_rng(0).permutation(len(docs))
+        permuted = infer_documents(
+            inference_model, [docs[i] for i in order], 5, [seeds[i] for i in order]
+        )
+        np.testing.assert_array_equal(permuted, batch[order])
+        extra = [["red0"] * 60, ["blue1", "blue2"]]
+        grown = infer_documents(inference_model, extra + docs, 5, [7, 8] + seeds)
+        np.testing.assert_array_equal(grown[2:], batch)
+        for i, (tokens, seed) in enumerate(zip(docs, seeds)):
+            np.testing.assert_array_equal(
+                infer_document(inference_model, tokens, 5, seed), batch[i]
+            )
+
+    def test_empty_batch(self, inference_model):
+        out = infer_documents(inference_model, [])
+        assert out.shape == (0, inference_model.dim)
+        assert out.dtype == inference_model.word_vectors.dtype
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_is_an_error(self, inference_model, steps):
+        with pytest.raises(InputError, match="steps"):
+            infer_documents(inference_model, [["red0"]], steps=steps)
+
+    def test_seed_count_mismatch_is_an_error(self, inference_model):
+        with pytest.raises(InputError, match="2 seeds for 1 documents"):
+            infer_documents(inference_model, [["red0"]], seeds=[1, 2])
 
 
 class TestNearestWords:
