@@ -9,10 +9,14 @@ the sign is + when the path goes left (code bit 0) and - when it goes right.
 Leaf probabilities therefore sum to one by construction.
 
 Plain SGD, one update per position, learning rate decayed linearly over the
-whole schedule. Training is single-threaded and bit-reproducible. Inference
-fits only a fresh document vector against frozen word and node vectors, so
-unseen documents are independent and are embedded together, one position
-of every document per array update.
+whole schedule. Training is single-threaded and bit-reproducible: word,
+inner-node and document vectors are row blocks of one parameter array, and
+each position gathers its rows (path nodes, window words, document) once,
+updates the copy and writes it back, which gives the same bits as updating
+the three matrices one at a time. Inference fits only a fresh document
+vector against frozen word and node vectors, so unseen documents are
+independent and are embedded together, one position of every document per
+array update.
 """
 
 from __future__ import annotations
@@ -99,6 +103,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(x, 60.0), -60.0)))
 
 
+def _sigmoid_neg(u: np.ndarray) -> np.ndarray:
+    """sigmoid(-u), bit-identical to _sigmoid(-u) with two fewer array ops."""
+    # No clip at -60: below it exp(u) < 1e-26, so 1 + exp(u) rounds to 1
+    # in float32 and float64 alike, as it does with the clip.
+    return 1.0 / (1.0 + np.exp(np.minimum(u, 60.0)))
+
+
 def path_gradients(
     context: np.ndarray, nodes: np.ndarray, bits: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -109,19 +120,10 @@ def path_gradients(
     """
     z = nodes @ context
     signs = 1.0 - 2.0 * np.asarray(bits, dtype=z.dtype)
-    return _signed_path_gradients(context, nodes, signs, z)
-
-
-def _signed_path_gradients(
-    context: np.ndarray, nodes: np.ndarray, signs: np.ndarray, z: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """path_gradients given the path's signs (1 - 2 bits) and z = nodes @ context."""
     probs = _sigmoid(signs * z)
     loss = -float(np.add.reduce(np.log(probs)))  # = the sum of -log, exactly
     coef = (probs - 1.0) * signs  # d(-log sigmoid(s z)) / dz
-    grad_context = coef @ nodes
-    grad_nodes = coef[:, None] * context  # np.outer, without its overhead
-    return loss, grad_context, grad_nodes
+    return loss, coef @ nodes, coef[:, None] * context
 
 
 def position_loss(
@@ -165,14 +167,8 @@ def hs_probability(model: PvdmModel, context: np.ndarray, word: str) -> float:
 def _doc_token_indices(corpus: Corpus, vocab: Vocabulary) -> tuple[list[np.ndarray], int]:
     """Per-document arrays of in-vocabulary token indices, plus skip count."""
     index = vocab.index
-    rows = []
-    skipped = 0
-    for s in corpus:
-        idx = [index[t] for t in s.tokens if t in index]
-        if not idx:
-            skipped += 1
-        rows.append(np.asarray(idx, dtype=np.int64))
-    return rows, skipped
+    rows = [np.array([index[t] for t in s.tokens if t in index], np.int64) for s in corpus]
+    return rows, sum(row.size == 0 for row in rows)
 
 
 def _position_plan(token_idx: np.ndarray, window: int, dtype) -> list[tuple]:
@@ -199,54 +195,33 @@ def _position_plan(token_idx: np.ndarray, window: int, dtype) -> list[tuple]:
     return plan
 
 
-class _LinearDecay:
-    """Learning rate falling linearly from initial to final over n updates."""
-
-    def __init__(self, initial: float, final: float, total: int) -> None:
-        self.initial = initial
-        self.final = final
-        self.total = max(total, 1)
-
-    def at(self, update: int) -> float:
-        frac = min(update / self.total, 1.0)
-        return self.initial - (self.initial - self.final) * frac
+def _linear_decay(config: PvdmConfig, done, total) -> np.ndarray:
+    """Learning rate (float64) after `done` of `total` updates, elementwise."""
+    initial, final = config.initial_lr, config.final_lr
+    return initial - (initial - final) * np.minimum(np.divide(done, total), 1.0)
 
 
-def _train_document(
-    doc_row: np.ndarray,
-    word_vectors: np.ndarray,
-    node_vectors: np.ndarray,
-    plan: list[tuple],
-    paths: list[np.ndarray],
-    signs: list[np.ndarray],
-    decay: _LinearDecay,
-    update_base: int,
-) -> float:
-    """One SGD pass over a document, mutating all three parameter matrices
-    in place. Returns the summed position loss (measured pre-update).
-
-    The node and word rows read for a position are written back from that
-    copy: paths and windows hold distinct rows, so this equals an in-place
-    update without gathering them again."""
+def _sgd_pass(params: np.ndarray, plan: list[tuple], lrs, steps) -> float:
+    """One SGD pass over a document, updating `params` (words, inner nodes,
+    documents stacked) in place; returns the summed pre-update position loss.
+    A position's rows are distinct, so it is one gather and one write-back.
+    steps[t] is -lrs[t] / m, rounded to the model dtype only after dividing."""
     total_loss = 0.0
-    for t, (target, uniq, repeats, m) in enumerate(plan):
-        if m > 1:
-            words = word_vectors[uniq]
-            context = (doc_row + repeats @ words) / m
+    for (rows, n, weights, repeats, m, neg_signs), lr, step in zip(plan, lrs, steps):
+        block = params.take(rows, axis=0)
+        nodes = block[:n]
+        context = block[-1] if weights is None else (block[-1] + weights @ block[n:-1]) / m
+        probs = _sigmoid_neg(neg_signs * (nodes @ context))
+        total_loss -= float(np.add.reduce(np.log(probs)))
+        coef = (1.0 - probs) * neg_signs  # d(-log sigmoid(s z)) / dz
+        delta = (coef @ nodes) * step
+        nodes -= lr * (coef[:, None] * context)
+        if repeats is None:
+            block[n:] += delta
         else:
-            context = doc_row.copy()
-        path = paths[target]
-        nodes = node_vectors[path]
-        loss, grad_context, grad_nodes = _signed_path_gradients(
-            context, nodes, signs[target], nodes @ context
-        )
-        total_loss += loss
-        lr = decay.at(update_base + t)
-        delta = grad_context * (-lr / m)
-        doc_row += delta
-        node_vectors[path] = nodes - lr * grad_nodes
-        if m > 1:
-            word_vectors[uniq] = words + repeats[:, None] * delta
+            block[n:-1] += repeats[:, None] * delta
+            block[-1] += delta
+        params[rows] = block
     return total_loss
 
 
@@ -261,17 +236,21 @@ def train_pvdm(
 
     Word and document vectors start uniform in [-0.5/dim, 0.5/dim], inner
     node vectors at zero. Documents with no in-vocabulary tokens are skipped
-    (counted in a single warning).
+    (counted in a single warning). The three matrices of the model are row
+    blocks of one array.
     """
     if len(corpus) == 0:
         raise InputError("cannot train on an empty corpus")
     vocab = build_vocabulary(corpus, config.min_count)
-    dim = config.dim
+    dim, dtype = config.dim, np.dtype(dtype)
+    n_words, n_nodes = len(vocab), vocab.n_inner_nodes
+    params = np.empty((n_words + n_nodes + len(corpus), dim), dtype=dtype)
+    word_vectors, node_vectors, doc_vectors = np.split(params, [n_words, n_words + n_nodes])
     rng = np.random.default_rng(derive_seed(config.seed, "pvdm-init"))
     scale = 0.5 / dim
-    word_vectors = rng.uniform(-scale, scale, (len(vocab), dim)).astype(dtype)
-    doc_vectors = rng.uniform(-scale, scale, (len(corpus), dim)).astype(dtype)
-    node_vectors = np.zeros((vocab.n_inner_nodes, dim), dtype=dtype)
+    word_vectors[:] = rng.uniform(-scale, scale, word_vectors.shape)
+    doc_vectors[:] = rng.uniform(-scale, scale, doc_vectors.shape)
+    node_vectors[:] = 0.0
 
     token_rows, skipped = _doc_token_indices(corpus, vocab)
     if skipped:
@@ -288,36 +267,40 @@ def train_pvdm(
         config=config,
         doc_ids=corpus.ids(),
     )
-    positions = [row.size for row in token_rows]
-    total_positions = sum(positions)
+    total_positions = sum(row.size for row in token_rows)
     if config.epochs == 0 or total_positions == 0:
         return model
 
-    decay = _LinearDecay(
-        config.initial_lr, config.final_lr, config.epochs * total_positions
-    )
-    trainable = [i for i, p in enumerate(positions) if p > 0]
-    plans = {
-        i: _position_plan(token_rows[i], config.window, dtype) for i in trainable
-    }
-    signs = [1.0 - 2.0 * c.astype(dtype) for c in vocab.codes]
-    paths = vocab.paths
+    # A position is its params rows (path nodes, window words, document), path
+    # length, window weights (None if m == 1), the weights unless all are 1, m
+    # and the target's negated signs; ones, m and signs are shared arrays.
+    node_rows = [path.astype(np.intp) + n_words for path in vocab.paths]
+    neg_signs = [2.0 * c.astype(dtype) - 1.0 for c in vocab.codes]
+    ones = {k: np.ones(k, dtype=dtype) for k in range(1, 2 * config.window + 1)}
+    m_values = {m: dtype.type(m) for m in range(1, 2 * config.window + 2)}
+    plans = []
+    for i, row in enumerate(token_rows):
+        plan, doc_row = [], n_words + n_nodes + i
+        for word, uniq, repeats, m in _position_plan(row, config.window, dtype):
+            unit = uniq.size == m - 1
+            plan.append((
+                np.concatenate([node_rows[word], uniq, [doc_row]]),
+                node_rows[word].size,
+                None if m == 1 else ones[m - 1] if unit else repeats,
+                None if unit else repeats,
+                m_values[m],
+                neg_signs[word],
+            ))
+        if plan:
+            plans.append((plan, np.array([p[4] for p in plan], dtype=np.float64)))
 
-    update_count = 0
+    total_updates = config.epochs * total_positions
     for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for i in trainable:
-            epoch_loss += _train_document(
-                doc_vectors[i],
-                word_vectors,
-                node_vectors,
-                plans[i],
-                paths,
-                signs,
-                decay,
-                update_count,
-            )
-            update_count += positions[i]
+        epoch_loss, done = 0.0, epoch * total_positions
+        for plan, m in plans:
+            lr = _linear_decay(config, done + np.arange(m.size), total_updates)
+            epoch_loss += _sgd_pass(params, plan, lr.astype(dtype), (-lr / m).astype(dtype))
+            done += m.size
         mean_loss = epoch_loss / total_positions
         if not np.isfinite(mean_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -395,11 +378,9 @@ def infer_documents(
         seed = derive_seed(cfg.seed, "pvdm-infer") if seeds[i] is None else seeds[i]
         vecs[r] = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim)
     for step in range(steps):
-        # _LinearDecay over each document's own steps * length updates (the
-        # fraction stays below 1), in float64; the step size is rounded to
-        # the model dtype before use, as a Python float is by numpy.
-        frac = (step * length + position) / (steps * length)
-        lr = cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * frac
+        # The schedule runs over each document's own steps * length updates;
+        # the step size is rounded to the model dtype only after -lr / m.
+        lr = _linear_decay(cfg, step * length + position, steps * length)
         scale = (-lr / m).astype(dtype)
         for t in range(lengths[0]):
             a, b = offsets[t], offsets[t + 1]
@@ -518,6 +499,9 @@ def load_model(path: str) -> PvdmModel:
         trailing = fh.read(1)
         if trailing:
             raise InputError("trailing bytes after model payload")
+    for name, matrix in zip(("word", "node", "doc"), (word_vectors, node_vectors, doc_vectors)):
+        if not np.all(np.isfinite(matrix)):
+            raise InputError(f"model file has a non-finite value in its {name} vectors")
     config = PvdmConfig(dim=dim, min_count=vocab.min_count)
     return PvdmModel(
         word_vectors=word_vectors,
@@ -538,17 +522,32 @@ def save_embeddings(embeddings: dict[str, np.ndarray], path: str) -> None:
 
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
     embeddings: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    decode = json.JSONDecoder(parse_int=float).decode  # a huge integer reads as inf
+    # Beyond float32 range becomes inf, rejected below with NaN and infinities.
+    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = decode(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
-            if "id" not in row or "embedding" not in row:
-                raise InputError(f"line {lineno}: embedding row needs id and embedding")
-            if row["id"] in embeddings:
-                raise InputError(f"line {lineno}: duplicate embedding id {row['id']!r}")
-            embeddings[row["id"]] = np.asarray(row["embedding"], dtype=np.float32)
+            if not isinstance(row, dict) or not isinstance(row.get("id"), str):
+                raise InputError(f"line {lineno}: embedding row needs a string id")
+            if "embedding" not in row:
+                raise InputError(f"line {lineno}: embedding row needs an embedding")
+            doc_id, values = row["id"], row["embedding"]
+            if doc_id in embeddings:
+                raise InputError(f"line {lineno}: duplicate embedding id {doc_id!r}")
+            if not isinstance(values, list) or not set(map(type, values)) <= {float}:
+                raise InputError(
+                    f"line {lineno}: embedding of {doc_id!r} is not a list of numbers"
+                )
+            vec = np.asarray(values, dtype=np.float32)
+            if not np.isfinite(vec).all():
+                raise InputError(
+                    f"line {lineno}: embedding of {doc_id!r} has a non-finite value"
+                    " (NaN, infinity or beyond float32 range)"
+                )
+            embeddings[doc_id] = vec
     return embeddings

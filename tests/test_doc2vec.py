@@ -1,17 +1,19 @@
 """Paragraph-vector model: tree output layer, training, inference, files."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakbias.corpus import SideLabel, vocabulary_from_counts
+from weakbias.corpus import SideLabel, build_vocabulary, vocabulary_from_counts
 from weakbias.doc2vec import (
     PvdmConfig,
     PvdmModel,
-    _LinearDecay,
     _position_plan,
     _sigmoid,
+    _sigmoid_neg,
     hs_probability,
     infer_document,
     infer_documents,
@@ -90,6 +92,20 @@ class TestHsProbability:
         for w in ("a", "b", "c"):
             p = hs_probability(model, ctx, w)
             assert 0.0 < p < 1.0
+
+
+class TestFoldedSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_sigmoid_of_the_negation(self, dtype):
+        """_sigmoid_neg(u) drops the clip at -60 and the negation; neither
+        may change a result, down to the bit, at any logit."""
+        big = np.finfo(dtype).max
+        x = np.array([59.99, 60.0, 61.0, 89.0, 710.0, 1e30, np.inf, big, 0.0, 0.5])
+        x = np.concatenate([x, -x, [np.nan]]).astype(dtype)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        np.testing.assert_array_equal(
+            _sigmoid_neg(-x).view(bits), _sigmoid(x).view(bits)
+        )
 
 
 def analytic_position_grads(doc_vec, ctx_words, nodes, bits):
@@ -221,6 +237,116 @@ class TestTraining:
         assert model.word_vectors.dtype == np.float64
 
 
+def reference_train(corpus, config, dtype):
+    """The per-position, per-matrix SGD loop that train_pvdm restructures:
+    the oracle its vectors and losses are compared against bit for bit.
+    Returns (word, node, doc vectors, epoch losses)."""
+    vocab = build_vocabulary(corpus, config.min_count)
+    dim = config.dim
+    rng = np.random.default_rng(derive_seed(config.seed, "pvdm-init"))
+    scale = 0.5 / dim
+    word_vectors = rng.uniform(-scale, scale, (len(vocab), dim)).astype(dtype)
+    doc_vectors = rng.uniform(-scale, scale, (len(corpus), dim)).astype(dtype)
+    node_vectors = np.zeros((vocab.n_inner_nodes, dim), dtype=dtype)
+    token_rows = [
+        np.asarray([vocab.index[t] for t in s.tokens if t in vocab], dtype=np.int64)
+        for s in corpus
+    ]
+    total = sum(row.size for row in token_rows)
+    losses = []
+    update = 0
+    for _ in range(config.epochs if total else 0):
+        epoch_loss = 0.0
+        for doc_row, row in zip(doc_vectors, token_rows):
+            if row.size == 0:
+                continue
+            doc_loss = 0.0
+            for target, uniq, repeats, m in _position_plan(row, config.window, dtype):
+                if m > 1:
+                    words = word_vectors[uniq]
+                    context = (doc_row + repeats @ words) / m
+                else:
+                    context = doc_row.copy()
+                path = vocab.paths[target]
+                nodes = node_vectors[path]
+                loss, grad_context, grad_nodes = path_gradients(
+                    context, nodes, vocab.codes[target]
+                )
+                doc_loss += loss
+                frac = min(update / (config.epochs * total), 1.0)
+                lr = config.initial_lr - (config.initial_lr - config.final_lr) * frac
+                delta = grad_context * (-lr / m)
+                doc_row += delta
+                node_vectors[path] = nodes - lr * grad_nodes
+                if m > 1:
+                    word_vectors[uniq] = words + repeats[:, None] * delta
+                update += 1
+            epoch_loss += doc_loss
+        losses.append(epoch_loss / total)
+    return word_vectors, node_vectors, doc_vectors, losses
+
+
+@st.composite
+def training_cases(draw):
+    """Small corpora over w0..w{n-1} plus tokens seen once, which min_count=2
+    drops: documents of one in-vocabulary token (m == 1) or of none, windows
+    with repeated words, and one-word vocabularies (no inner nodes)."""
+    n_words = draw(st.integers(1, 6))
+    docs = draw(
+        st.lists(
+            st.lists(st.integers(0, n_words), min_size=1, max_size=14),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    rows = [
+        (f"d{i}", " ".join(f"w{t}" if t < n_words else f"rare{i}x{j}" for j, t in enumerate(doc)),
+         SideLabel.LEFT)
+        for i, doc in enumerate(docs)
+    ]
+    counts = [sum(doc.count(w) for doc in docs) for w in range(n_words)]
+    if max(counts) < 2:
+        rows.append(("pad", "w0 w0", SideLabel.RIGHT))
+    initial_lr = draw(st.sampled_from([0.025, 0.2, 1.0]))
+    config = PvdmConfig(
+        dim=draw(st.integers(1, 8)),
+        window=draw(st.integers(1, 6)),
+        epochs=draw(st.integers(1, 3)),
+        min_count=2,
+        initial_lr=initial_lr,
+        final_lr=initial_lr * draw(st.sampled_from([1e-3, 0.5, 1.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return make_corpus(rows), config, draw(st.sampled_from([np.float32, np.float64]))
+
+
+class TestTrainingOracle:
+    @given(case=training_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_position_loop_exactly(self, case):
+        corpus, config, dtype = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # documents skipped
+            model = train_pvdm(corpus, config, dtype=dtype)
+        words, nodes, docs, losses = reference_train(corpus, config, dtype)
+        assert model.word_vectors.dtype == dtype
+        np.testing.assert_array_equal(model.word_vectors, words)
+        np.testing.assert_array_equal(model.node_vectors, nodes)
+        np.testing.assert_array_equal(model.doc_vectors, docs)
+        assert model.epoch_losses == losses
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_topic_corpus_matches_exactly(self, dtype):
+        corpus = two_topic_corpus(n_docs=12, tokens_per_doc=20)
+        config = PvdmConfig(dim=16, window=4, epochs=3, min_count=1, seed=3, initial_lr=0.05)
+        model = train_pvdm(corpus, config, dtype=dtype)
+        words, nodes, docs, losses = reference_train(corpus, config, dtype)
+        np.testing.assert_array_equal(model.word_vectors, words)
+        np.testing.assert_array_equal(model.node_vectors, nodes)
+        np.testing.assert_array_equal(model.doc_vectors, docs)
+        assert model.epoch_losses == losses
+
+
 @pytest.fixture(scope="module")
 def inference_model():
     return train_pvdm(
@@ -295,7 +421,7 @@ def reference_infer(model, tokens, steps, seed):
         seed = derive_seed(cfg.seed, "pvdm-infer")
     dim, dtype = model.dim, model.word_vectors.dtype
     doc_vec = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim).astype(dtype)
-    decay = _LinearDecay(cfg.initial_lr, cfg.final_lr, steps * token_idx.size)
+    total = steps * token_idx.size
     positions = [
         (
             model.node_vectors[vocab.paths[target]],
@@ -310,7 +436,8 @@ def reference_infer(model, tokens, steps, seed):
         for nodes, signs, wsum, m in positions:
             context = (doc_vec + wsum) / m if m > 1 else doc_vec
             coef = (_sigmoid(signs * (nodes @ context)) - 1.0) * signs
-            doc_vec += (coef @ nodes) * (-decay.at(update) / m)
+            lr = cfg.initial_lr - (cfg.initial_lr - cfg.final_lr) * min(update / total, 1.0)
+            doc_vec += (coef @ nodes) * (-lr / m)
             update += 1
     return doc_vec
 
@@ -493,3 +620,37 @@ class TestModelFiles:
         assert set(loaded) == set(table)
         for key in table:
             np.testing.assert_array_equal(loaded[key], table[key])
+
+    @pytest.mark.parametrize("matrix", ["word", "node", "doc"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_values_are_rejected(self, trained, tmp_path, matrix, value):
+        getattr(trained, f"{matrix}_vectors")[0, 1] = value
+        path = tmp_path / "m.pvdm"
+        save_model(trained, str(path))
+        with pytest.raises(InputError, match=f"non-finite value in its {matrix} vectors"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('[1.0, 2.0]', "line 2: embedding row needs a string id"),
+            ('"s9"', "line 2: embedding row needs a string id"),
+            ('{"id": 7, "embedding": [1.0]}', "line 2: embedding row needs a string id"),
+            ('{"embedding": [1.0]}', "line 2: embedding row needs a string id"),
+            ('{"id": "s9"}', "line 2: embedding row needs an embedding"),
+            ('{"id": "s9", "embedding": [1.0, "2"]}', "line 2: embedding of 's9' is not a list"),
+            ('{"id": "s9", "embedding": [1.0, true]}', "line 2: embedding of 's9' is not a list"),
+            ('{"id": "s9", "embedding": [[1.0], [2.0]]}', "line 2: embedding of 's9' is not a list"),
+            ('{"id": "s9", "embedding": 1.0}', "line 2: embedding of 's9' is not a list"),
+            ('{"id": "s9", "embedding": [1.0, NaN]}', "line 2: embedding of 's9' has a non-finite"),
+            ('{"id": "s9", "embedding": [Infinity, 1.0]}', "line 2: embedding of 's9' has a non-finite"),
+            ('{"id": "s9", "embedding": [-Infinity, 1.0]}', "line 2: embedding of 's9' has a non-finite"),
+            ('{"id": "s9", "embedding": [1e39, 1.0]}', "line 2: embedding of 's9' has a non-finite"),
+            ('{"id": "s9", "embedding": [1, ' + "9" * 400 + ']}', "line 2: embedding of 's9' has a non-finite"),
+        ],
+    )
+    def test_bad_embedding_rows_name_line_and_id(self, tmp_path, line, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "s0", "embedding": [0.5, -1]}\n' + line + "\n")
+        with pytest.raises(InputError, match=message):
+            load_embeddings(str(path))
