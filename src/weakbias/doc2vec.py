@@ -96,18 +96,16 @@ class PvdmModel:
         self._doc_index = {d: i for i, d in enumerate(self.doc_ids)}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Clipping at 60 keeps exp() finite; sigmoid is saturated far earlier.
-    # np.minimum/np.maximum give np.clip's values without its Python-level
-    # dispatch.
-    return 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(x, 60.0), -60.0)))
-
-
 def _sigmoid_neg(u: np.ndarray) -> np.ndarray:
-    """sigmoid(-u), bit-identical to _sigmoid(-u) with two fewer array ops."""
-    # No clip at -60: below it exp(u) < 1e-26, so 1 + exp(u) rounds to 1
-    # in float32 and float64 alike, as it does with the clip.
+    """sigmoid(-u); the trainer holds negated signs, so it saves a negation."""
+    # Clipping u at 60 keeps exp() finite. No clip at -60 is needed: below
+    # it exp(u) < 1e-26, so 1 + exp(u) rounds to 1 in float32 and float64
+    # alike, as it would with a clip.
     return 1.0 / (1.0 + np.exp(np.minimum(u, 60.0)))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return _sigmoid_neg(-x)
 
 
 def path_gradients(
@@ -123,7 +121,9 @@ def path_gradients(
     probs = _sigmoid(signs * z)
     loss = -float(np.add.reduce(np.log(probs)))  # = the sum of -log, exactly
     coef = (probs - 1.0) * signs  # d(-log sigmoid(s z)) / dz
-    return loss, coef @ nodes, coef[:, None] * context
+    grad_context = coef @ nodes
+    grad_nodes = coef[:, None] * context  # np.outer, without its overhead
+    return loss, grad_context, grad_nodes
 
 
 def position_loss(
@@ -167,8 +167,14 @@ def hs_probability(model: PvdmModel, context: np.ndarray, word: str) -> float:
 def _doc_token_indices(corpus: Corpus, vocab: Vocabulary) -> tuple[list[np.ndarray], int]:
     """Per-document arrays of in-vocabulary token indices, plus skip count."""
     index = vocab.index
-    rows = [np.array([index[t] for t in s.tokens if t in index], np.int64) for s in corpus]
-    return rows, sum(row.size == 0 for row in rows)
+    rows = []
+    skipped = 0
+    for s in corpus:
+        idx = [index[t] for t in s.tokens if t in index]
+        if not idx:
+            skipped += 1
+        rows.append(np.asarray(idx, dtype=np.int64))
+    return rows, skipped
 
 
 def _position_plan(token_idx: np.ndarray, window: int, dtype) -> list[tuple]:

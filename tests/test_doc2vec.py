@@ -13,7 +13,6 @@ from weakbias.doc2vec import (
     PvdmModel,
     _position_plan,
     _sigmoid,
-    _sigmoid_neg,
     hs_probability,
     infer_document,
     infer_documents,
@@ -96,16 +95,15 @@ class TestHsProbability:
 
 class TestFoldedSigmoid:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equal_to_sigmoid_of_the_negation(self, dtype):
-        """_sigmoid_neg(u) drops the clip at -60 and the negation; neither
-        may change a result, down to the bit, at any logit."""
+    def test_bitwise_equal_to_the_two_sided_clip(self, dtype):
+        """_sigmoid, through _sigmoid_neg, clips only -x at 60; dropping the
+        clip at x = 60 may not change a result, down to the bit."""
         big = np.finfo(dtype).max
         x = np.array([59.99, 60.0, 61.0, 89.0, 710.0, 1e30, np.inf, big, 0.0, 0.5])
         x = np.concatenate([x, -x, [np.nan]]).astype(dtype)
+        clipped = 1.0 / (1.0 + np.exp(-np.maximum(np.minimum(x, 60.0), -60.0)))
         bits = np.uint32 if dtype == np.float32 else np.uint64
-        np.testing.assert_array_equal(
-            _sigmoid_neg(-x).view(bits), _sigmoid(x).view(bits)
-        )
+        np.testing.assert_array_equal(_sigmoid(x).view(bits), clipped.view(bits))
 
 
 def analytic_position_grads(doc_vec, ctx_words, nodes, bits):
