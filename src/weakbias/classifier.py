@@ -353,7 +353,7 @@ def train_stage1(
             seed=spec.seed,
             dtype=dtype,
         )
-    features = corpus.features().astype(dtype)
+    features = corpus.features().astype(dtype, copy=False)
     labels, weights = _labels_and_weights(corpus.samples, spec.class_weights, dtype)
     params = model.parameters()
 
@@ -382,7 +382,7 @@ def train_stage2(
     out = model.copy()
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
     out.head2 = Affine.create(init, out.hidden_dim, 2, dtype)
-    features = corpus.features().astype(dtype)
+    features = corpus.features().astype(dtype, copy=False)
     trunk_out = _trunk_forward(out, features)[-1]  # frozen: compute once
     labels, weights = _labels_and_weights(corpus.samples, spec.class_weights, dtype)
     params = {"head2_W": out.head2.W, "head2_b": out.head2.b}
@@ -424,7 +424,7 @@ def train_image_only(
     )
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
     model.head2 = Affine.create(init, hidden, 2, dtype)
-    features = corpus.features().astype(dtype)
+    features = corpus.features().astype(dtype, copy=False)
     labels, weights = _labels_and_weights(corpus.samples, spec.class_weights, dtype)
     trainable = {
         name: array
@@ -551,7 +551,7 @@ def train_word_head(
     init = np.random.default_rng(derive_seed(spec.seed, "word-head-init"))
     out.word_head = Affine.create(init, out.fused_dim, len(words), dtype)
     out.visual_words = list(words)
-    features = corpus.features().astype(dtype)
+    features = corpus.features().astype(dtype, copy=False)
     text = _embedding_matrix(corpus.samples, embeddings, dtype)
     index = {word: j for j, word in enumerate(words)}
     targets = np.zeros((len(corpus), len(words)), dtype=dtype)
@@ -597,7 +597,7 @@ def rank_images_for_word(
     if top <= 0:
         return []
     dtype = model.word_head.W.dtype
-    features = corpus.features().astype(dtype)
+    features = corpus.features().astype(dtype, copy=False)
     text = _embedding_matrix(corpus.samples, embeddings, dtype)
     fused = _fused_forward(model, features, text)[-1]
     logits = fused @ model.word_head.W[:, column] + model.word_head.b[column]
@@ -655,21 +655,24 @@ def load_checkpoint(path: str) -> BiasModel:
         if len(set(words)) != len(words):
             raise InputError("checkpoint visual words are not unique")
 
-        def affine(in_dim: int, out_dim: int) -> Affine:
-            W = read_matrix(fh, in_dim, out_dim)
-            return Affine(W, read_vector(fh, out_dim))
+        def affine(name: str, in_dim: int, out_dim: int) -> Affine:
+            layer = Affine(read_matrix(fh, in_dim, out_dim), read_vector(fh, out_dim))
+            for array, values in (("W", layer.W), ("b", layer.b)):
+                if not np.all(np.isfinite(values)):
+                    raise InputError(f"checkpoint has a non-finite value in {name} {array}")
+            return layer
 
         model = BiasModel(
-            trunk1=affine(feature_dim, hidden),
-            trunk2=affine(hidden, hidden),
-            fusion=affine(hidden + text_dim, fused),
-            head1=affine(fused, 2),
+            trunk1=affine("trunk1", feature_dim, hidden),
+            trunk2=affine("trunk2", hidden, hidden),
+            fusion=affine("fusion", hidden + text_dim, fused),
+            head1=affine("head1", fused, 2),
             visual_words=words,
         )
         if has_head2:
-            model.head2 = affine(hidden, 2)
+            model.head2 = affine("head2", hidden, 2)
         if has_word_head:
-            model.word_head = affine(fused, n_words)
+            model.word_head = affine("word_head", fused, n_words)
         if fh.read(1):
             raise InputError("trailing bytes after checkpoint payload")
     return model

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -690,7 +691,10 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, and building the subparsers costs milliseconds per call."""
     parser = argparse.ArgumentParser(
         prog="weakbias",
         description="Weakly supervised left/right bias prediction from image "

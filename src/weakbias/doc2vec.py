@@ -16,7 +16,7 @@ updates the copy and writes it back, which gives the same bits as updating
 the three matrices one at a time. Inference fits only a fresh document
 vector against frozen word and node vectors, so unseen documents are
 independent and are embedded together, one position of every document per
-array update.
+array update; the dot products with each frozen window sum are taken once.
 """
 
 from __future__ import annotations
@@ -316,6 +316,35 @@ def train_pvdm(
     return model
 
 
+def _inference_tables(model: PvdmModel, rows: list[np.ndarray]) -> tuple:
+    """Path, negated signs, m and z_window (the path's dot products with the
+    window sum) of each position of the token-id rows, concatenated. Paths are
+    padded to the vocabulary's depth with the root, signs and z_window with 0.
+    Window sums are float64 prefix-sum differences, left and right apart."""
+    vocab, nodes, window = model.vocabulary, model.node_vectors, model.config.window
+    index = {}  # the batch's words, first seen first: np.unique would page in sort code
+    word = np.array([index.setdefault(w, len(index)) for w in np.concatenate(rows).tolist()])
+    depth = max(p.size for p in vocab.paths)
+    paths = np.full((len(index), depth), vocab.n_inner_nodes - 1, np.int32)
+    m, neg_signs = np.empty(word.size, np.int64), np.zeros((len(index), depth), nodes.dtype)
+    for j, w in enumerate(index):
+        paths[j, : vocab.paths[w].size] = vocab.paths[w]
+        neg_signs[j, : vocab.paths[w].size] = 2.0 * vocab.codes[w] - 1.0
+    z_window = np.empty((word.size, depth), nodes.dtype)
+    for row, at in zip(rows, np.split(np.arange(word.size), np.cumsum([len(r) for r in rows]))):
+        t = np.arange(row.size)
+        lo, hi = np.maximum(t - window, 0), np.minimum(t + window + 1, row.size)
+        cum = np.zeros((row.size + 1, model.dim))
+        np.cumsum(model.word_vectors[row], axis=0, dtype=np.float64, out=cum[1:])
+        window_sum = ((cum[:-1] - cum[lo]) + (cum[hi] - cum[1:])).astype(nodes.dtype)
+        m[at] = hi - lo
+        for k, level in enumerate(paths[word[at]].T):  # a level at a time: O(L dim) memory
+            z_window[at, k] = np.einsum("ld,ld->l", window_sum, nodes.take(level, axis=0))
+    paths, neg_signs = paths[word], neg_signs[word]
+    z_window[neg_signs == 0] = 0.0
+    return paths, neg_signs, m, z_window
+
+
 def infer_documents(
     model: PvdmModel,
     docs: list[list[str]],
@@ -329,7 +358,8 @@ def infer_documents(
     that the training update optimizes for `steps` passes over its tokens,
     with the learning rate schedule compressed to fit that document. Nothing
     shared moves, so row i of the (len(docs), dim) result is the same
-    whichever other documents share the batch.
+    whichever other documents share the batch. A call builds its tables once
+    (_inference_tables), then moves all running documents one position at a time.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -350,56 +380,36 @@ def infer_documents(
     # prefix [:running[t]]; the batch is stored position-major, position t
     # at flat rows offsets[t]:offsets[t + 1].
     order = np.argsort([-r.size for r in rows], kind="stable")
-    lengths = np.array([rows[i].size for i in order])
+    rows = [rows[i] for i in order]
+    lengths = np.array([r.size for r in rows])
     running = len(rows) - np.cumsum(np.bincount(lengths))[: lengths[0]]
     offsets = np.concatenate([[0], np.cumsum(running)])
     position = np.repeat(np.arange(lengths[0]), running)
     length = np.concatenate([lengths[:k] for k in running])
-
-    # Per position: the target's Huffman path and signs, padded to the
-    # vocabulary's depth with the root and sign 0 (a padded node adds
-    # exactly +-0), the averaging denominator m, and z_window, the path's
-    # dot products with the window sum. The window is frozen, so z_window
-    # is constant; z = (nodes @ doc + z_window) / m needs no window sums.
-    depth = max(p.size for p in vocab.paths)
-    paths = np.full((offsets[-1], depth), vocab.n_inner_nodes - 1, dtype=np.int32)
-    signs = np.zeros((offsets[-1], depth), dtype=dtype)
-    z_window = np.zeros((offsets[-1], depth), dtype=dtype)
-    m = np.empty(offsets[-1])
-    for r, i in enumerate(order):
-        for t, (word, uniq, repeats, m_t) in enumerate(
-            _position_plan(rows[i], cfg.window, dtype)
-        ):
-            j, n = offsets[t] + r, vocab.paths[word].size
-            paths[j, :n], signs[j, :n] = vocab.paths[word], 1.0 - 2.0 * vocab.codes[word]
-            m[j] = m_t
-            if m_t > 1:
-                z_window[j, :n] = model.node_vectors[vocab.paths[word]] @ (
-                    repeats @ model.word_vectors[uniq]
-                )
+    # Flat row j is position[j] of the (j - offsets[position[j]])-th document.
+    at = (np.cumsum(lengths) - lengths)[np.arange(offsets[-1]) - offsets[position]] + position
+    paths, neg_signs, m, z_window = (a[at] for a in _inference_tables(model, rows))
     m_cast = m.astype(dtype)[:, None]
 
     vecs = np.empty((len(rows), dim), dtype=dtype)
     for r, i in enumerate(order):
         seed = derive_seed(cfg.seed, "pvdm-infer") if seeds[i] is None else seeds[i]
         vecs[r] = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim)
+    plan = [(vecs[: b - a], paths[a:b], neg_signs[a:b], z_window[a:b], m_cast[a:b], slice(a, b))
+            for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]  # sliced once
     for step in range(steps):
         # The schedule runs over each document's own steps * length updates;
         # the step size is rounded to the model dtype only after -lr / m.
         lr = _linear_decay(cfg, step * length + position, steps * length)
-        scale = (-lr / m).astype(dtype)
-        for t in range(lengths[0]):
-            a, b = offsets[t], offsets[t + 1]
-            doc = vecs[: b - a]
-            nodes = model.node_vectors[paths[a:b]]
-            z = (np.einsum("kld,kd->kl", nodes, doc) + z_window[a:b]) / m_cast[a:b]
-            coef = (_sigmoid(signs[a:b] * z) - 1.0) * signs[a:b]
-            doc += np.einsum("kl,kld->kd", coef, nodes) * scale[a:b, None]
+        scale = (-lr / m).astype(dtype)[:, None]
+        for doc, path, neg_sign, z_win, m_t, span in plan:
+            nodes = model.node_vectors.take(path, axis=0)
+            z = (np.einsum("kld,kd->kl", nodes, doc) + z_win) / m_t
+            coef = (1.0 - _sigmoid_neg(neg_sign * z)) * neg_sign
+            doc += np.einsum("kl,kld->kd", coef, nodes) * scale[span]
     if not np.all(np.isfinite(vecs)):
         raise NumericError("inference produced a non-finite document vector")
-    out = np.empty_like(vecs)
-    out[order] = vecs
-    return out
+    return vecs[np.argsort(order, kind="stable")]  # stable, as above: other kinds page in code
 
 
 def infer_document(

@@ -558,6 +558,23 @@ class TestCheckpoints:
         with pytest.raises(InputError, match="trailing"):
             load_checkpoint(str(padded))
 
+    @pytest.mark.parametrize(
+        "layer", ["trunk1", "trunk2", "fusion", "head1", "head2", "word_head"]
+    )
+    @pytest.mark.parametrize("array", ["W", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_layer_and_array(self, tmp_path, layer, array, value):
+        model = build_model(8, hidden=6, fused=5, text_dim=7, seed=3)
+        rng = np.random.default_rng(0)
+        model.head2 = Affine.create(rng, 6, 2)
+        model.word_head = Affine.create(rng, 5, 2)
+        model.visual_words = ["cat", "dog"]
+        getattr(getattr(model, layer), array).flat[-1] = value
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, str(path))
+        with pytest.raises(InputError, match=f"non-finite value in {layer} {array}$"):
+            load_checkpoint(str(path))
+
     def test_word_count_mismatch_rejected_on_save(self, tmp_path):
         model = build_model(8, hidden=6, fused=5, text_dim=7)
         model.word_head = Affine(np.zeros((5, 3), np.float32), np.zeros(3, np.float32))

@@ -184,6 +184,38 @@ class TestConfigResolution:
         assert effective_seed("--config", config) == 55
         assert effective_seed("--config", config, "--seed", 7) == 7
 
+    def test_consecutive_calls_do_not_share_values(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """main() reuses one parser, so nothing one call parses may reach the
+        next: a seed, a flag or a subcommand's options left out of a call
+        resolve from their defaults there."""
+        corpus = workspace / "corpus.jsonl"
+        first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+
+        def dumped(path):
+            sections = parse_config_text(path.read_text())
+            return int(sections["run"]["seed"]), int(sections["pvdm"]["min_count"])
+
+        monkeypatch.delenv("WEAKBIAS_SEED", raising=False)
+        assert run("vocab", "--corpus", corpus, "--seed", 7, "--min-count", 3,
+                   "--json-logs", "--dump-config", first) == 0
+        assert run("make-synthetic", "--out", tmp_path / "s.jsonl",
+                   "--n-samples", 20, "--seed", 9) == 0
+        assert run("vocab", "--corpus", corpus, "--dump-config", second) == 0
+        assert dumped(first) == (7, 3)
+        default_min_count = dumped(second)[1]
+        assert dumped(second) == (0, default_min_count) and default_min_count != 3
+        monkeypatch.setenv("WEAKBIAS_SEED", "123")
+        second.unlink()
+        assert run("vocab", "--corpus", corpus) == 0
+        assert not second.exists()  # --dump-config did not carry over
+        assert run("vocab", "--corpus", corpus, "--dump-config", second) == 0
+        assert dumped(second)[0] == 123
+        capsys.readouterr()
+        assert run("vocab", "--corpus", tmp_path / "nope.jsonl") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: input:")  # not JSON logs
+
     def test_bad_env_seed_exits_two(self, workspace, capsys, monkeypatch):
         monkeypatch.setenv("WEAKBIAS_SEED", "abc")
         code = run("vocab", "--corpus", workspace / "corpus.jsonl")

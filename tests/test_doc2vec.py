@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakbias.corpus import SideLabel, build_vocabulary, vocabulary_from_counts
 from weakbias.doc2vec import (
     PvdmConfig,
     PvdmModel,
+    _inference_tables,
     _position_plan,
     _sigmoid,
     hs_probability,
@@ -478,6 +479,57 @@ def ragged_batches(draw):
     seeds = draw(st.lists(st.one_of(st.none(), st.integers(0, 2**32 - 1)),
                           min_size=len(docs), max_size=len(docs)))
     return model, docs, seeds, draw(st.integers(1, 3))
+
+
+def table_case(n_words, dim, window, dtype, seed, docs):
+    return random_model(n_words, dim, window, dtype, seed), [np.array(d, np.int64) for d in docs]
+
+
+@st.composite
+def table_cases(draw):
+    """Vocabularies of 1 word (depth 0) to 12, windows 1-25 against documents
+    of 1-30 tokens, so windows often outgrow their document, drawn from few
+    words, so windows repeat words."""
+    n_words = draw(st.integers(1, 12))
+    docs = draw(st.lists(st.lists(st.integers(0, n_words - 1), min_size=1, max_size=30),
+                         min_size=1, max_size=4))
+    return table_case(n_words, draw(st.integers(1, 8)), draw(st.integers(1, 25)),
+                      draw(st.sampled_from([np.float32, np.float64])),
+                      draw(st.integers(0, 2**32 - 1)), docs)
+
+
+class TestInferenceTables:
+    @given(case=table_cases())
+    @example(case=table_case(1, 4, 3, np.float32, 1, [[0], [0, 0, 0]]))
+    @example(case=table_case(5, 8, 25, np.float64, 2, [[3], [1, 1, 4, 1, 0, 2]]))
+    @example(case=table_case(9, 8, 1, np.float32, 3, [[8] * 12 + [0, 5]]))
+    @settings(max_examples=150, deadline=None)
+    def test_tables_match_the_position_plan(self, case):
+        """Paths, signs and m equal _position_plan's exactly. z_window is within
+        1e-6 of the float64 dot products, relative to the sum of their terms'
+        magnitudes, and exactly 0 where the path is padded or the window empty."""
+        model, docs = case
+        vocab, dtype = model.vocabulary, model.word_vectors.dtype
+        paths, neg_signs, m, z_window = _inference_tables(model, docs)
+        depth = max(p.size for p in vocab.paths)
+        n = sum(d.size for d in docs)
+        assert paths.shape == neg_signs.shape == z_window.shape == (n, depth)
+        assert m.shape == (n,) and neg_signs.dtype == z_window.dtype == dtype
+        words = model.word_vectors.astype(np.float64)
+        plan = [p for d in docs for p in _position_plan(d, model.config.window, np.float64)]
+        for j, (target, uniq, counts, m_t) in enumerate(plan):
+            path, size = vocab.paths[target], vocab.paths[target].size
+            assert m[j] == m_t
+            np.testing.assert_array_equal(paths[j, :size], path)
+            assert np.all(paths[j, size:] == vocab.n_inner_nodes - 1)
+            np.testing.assert_array_equal(neg_signs[j, :size], 2.0 * vocab.codes[target] - 1.0)
+            assert np.all(neg_signs[j, size:] == 0) and np.all(z_window[j, size:] == 0)
+            nodes = model.node_vectors[path].astype(np.float64)
+            expected = nodes @ (counts @ words[uniq])
+            bound = 1e-6 * (np.abs(nodes) @ (counts @ np.abs(words[uniq])))
+            assert np.all(np.abs(z_window[j, :size] - expected) <= bound)
+            if m_t == 1:
+                assert np.all(z_window[j] == 0)
 
 
 class TestBatchedInference:
