@@ -16,7 +16,7 @@ updates the copy and writes it back, which gives the same bits as updating
 the three matrices one at a time. Inference fits only a fresh document
 vector against frozen word and node vectors, so unseen documents are
 independent and are embedded together, one position of every document per
-array update; the dot products with each frozen window sum are taken once.
+array update; what does not move with the document vectors is tabled first.
 """
 
 from __future__ import annotations
@@ -359,7 +359,9 @@ def infer_documents(
     with the learning rate schedule compressed to fit that document. Nothing
     shared moves, so row i of the (len(docs), dim) result is the same
     whichever other documents share the batch. A call builds its tables once
-    (_inference_tables), then moves all running documents one position at a time.
+    (_inference_tables) with -sign / m beside them; a step scales the signs by
+    its step sizes in one array operation, then moves the running documents
+    a position at a time: a gather, two stacked matmuls and in-place ufuncs.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -388,25 +390,30 @@ def infer_documents(
     length = np.concatenate([lengths[:k] for k in running])
     # Flat row j is position[j] of the (j - offsets[position[j]])-th document.
     at = (np.cumsum(lengths) - lengths)[np.arange(offsets[-1]) - offsets[position]] + position
-    paths, neg_signs, m, z_window = (a[at] for a in _inference_tables(model, rows))
-    m_cast = m.astype(dtype)[:, None]
+    paths, neg_signs, m, z_window = (t[at] for t in _inference_tables(model, rows))
+    a = (neg_signs / -m[:, None]).astype(dtype)  # v = (nodes . doc + z_window) a = -u, 0 in padding
 
     vecs = np.empty((len(rows), dim), dtype=dtype)
     for r, i in enumerate(order):
         seed = derive_seed(cfg.seed, "pvdm-infer") if seeds[i] is None else seeds[i]
         vecs[r] = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim)
-    plan = [(vecs[: b - a], paths[a:b], neg_signs[a:b], z_window[a:b], m_cast[a:b], slice(a, b))
-            for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]  # sliced once
+    numer = np.empty_like(neg_signs)  # neg_sign * step: coef * step = numer / (1 + exp(v))
+    plan = [(vecs[: j - i, :, None], paths[i:j], *(t[i:j, :, None] for t in (z_window, a, numer)))
+            for i, j in zip(offsets[:-1].tolist(), offsets[1:].tolist())]  # sliced once
     for step in range(steps):
         # The schedule runs over each document's own steps * length updates;
         # the step size is rounded to the model dtype only after -lr / m.
         lr = _linear_decay(cfg, step * length + position, steps * length)
-        scale = (-lr / m).astype(dtype)[:, None]
-        for doc, path, neg_sign, z_win, m_t, span in plan:
+        np.multiply(neg_signs, (-lr / m).astype(dtype)[:, None], out=numer)
+        for doc, path, z_t, a_t, numer_t in plan:
             nodes = model.node_vectors.take(path, axis=0)
-            z = (np.einsum("kld,kd->kl", nodes, doc) + z_win) / m_t
-            coef = (1.0 - _sigmoid_neg(neg_sign * z)) * neg_sign
-            doc += np.einsum("kl,kld->kd", coef, nodes) * scale[span]
+            v = np.matmul(nodes, doc)
+            v += z_t
+            v *= a_t
+            np.exp(np.minimum(v, 60.0, out=v), out=v)  # finite, as in _sigmoid_neg
+            v += 1.0
+            np.divide(numer_t, v, out=v)
+            doc += np.matmul(nodes.transpose(0, 2, 1), v)
     if not np.all(np.isfinite(vecs)):
         raise NumericError("inference produced a non-finite document vector")
     return vecs[np.argsort(order, kind="stable")]  # stable, as above: other kinds page in code
@@ -437,18 +444,18 @@ def nearest_words(
     uses the mean of the query's word vectors instead. Query tokens are
     excluded from the ranking.
     """
+    if embed not in ("infer", "average"):
+        raise InputError(f"embed must be 'infer' or 'average', got {embed!r}")
+    if n <= 0:
+        return []
     if embed == "infer":
         query_vec = infer_document(model, query_tokens, steps=steps, seed=seed)
-    elif embed == "average":
+    else:
         vocab = model.vocabulary
         idx = [vocab.index[t] for t in query_tokens if t in vocab.index]
         if not idx:
             raise InputError("query has no in-vocabulary tokens")
         query_vec = model.word_vectors[idx].mean(axis=0)
-    else:
-        raise InputError(f"embed must be 'infer' or 'average', got {embed!r}")
-    if n <= 0:
-        return []
     query_vec = query_vec.astype(np.float64)
     query_norm = np.linalg.norm(query_vec)
     words_mat = model.word_vectors.astype(np.float64)
@@ -456,15 +463,8 @@ def nearest_words(
     denom = np.maximum(norms * query_norm, 1e-12)
     sims = (words_mat @ query_vec) / denom
     exclude = set(query_tokens)
-    ranked = sorted(
-        (
-            (model.vocabulary.words[i], float(sims[i]))
-            for i in range(len(sims))
-            if model.vocabulary.words[i] not in exclude
-        ),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return ranked[:n]
+    ranked = [(w, float(s)) for w, s in zip(model.vocabulary.words, sims) if w not in exclude]
+    return sorted(ranked, key=lambda pair: (-pair[1], pair[0]))[:n]
 
 
 def save_model(model: PvdmModel, path: str) -> None:
@@ -532,7 +532,7 @@ def save_embeddings(embeddings: dict[str, np.ndarray], path: str) -> None:
     """Write an id -> embedding sidecar as JSONL."""
     with open(path, "w", encoding="utf-8") as fh:
         for doc_id, vec in embeddings.items():
-            row = {"id": doc_id, "embedding": [float(x) for x in vec]}
+            row = {"id": doc_id, "embedding": np.asarray(vec, np.float64).tolist()}
             fh.write(json.dumps(row) + "\n")
 
 

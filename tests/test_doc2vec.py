@@ -1,5 +1,7 @@
 """Paragraph-vector model: tree output layer, training, inference, files."""
 
+import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weakbias import doc2vec
 from weakbias.corpus import SideLabel, build_vocabulary, vocabulary_from_counts
 from weakbias.doc2vec import (
     PvdmConfig,
@@ -355,6 +358,15 @@ def inference_model():
 
 
 @pytest.fixture(scope="module")
+def float64_inference_model():
+    return train_pvdm(
+        two_topic_corpus(n_docs=40, tokens_per_doc=30),
+        PvdmConfig(dim=16, window=4, epochs=10, min_count=1, seed=5, initial_lr=0.05),
+        dtype=np.float64,
+    )
+
+
+@pytest.fixture(scope="module")
 def ranking_model():
     return train_pvdm(
         two_topic_corpus(n_docs=60, tokens_per_doc=30),
@@ -563,6 +575,36 @@ class TestBatchedInference:
                 infer_document(inference_model, tokens, 5, seed), batch[i]
             )
 
+    @pytest.mark.parametrize("window", [1, 3, 20])
+    def test_float64_matches_the_loop_to_rounding(self, float64_inference_model, window):
+        """In float64 the folded step (-sign / m, the window term, the step size
+        and the sigmoid complement) differs from the per-position loop only by
+        rounding, so a slip in the fold shows far above 1e-12, where the float32
+        tolerance of the property test could hide it."""
+        base = float64_inference_model
+        model = dataclasses.replace(base, config=dataclasses.replace(base.config, window=window))
+        docs = [s.tokens for s in two_topic_corpus(n_docs=10, tokens_per_doc=30, seed=2)]
+        docs = [d[: 1 + 3 * i] for i, d in enumerate(docs)]  # 1 to 28 tokens
+        seeds = list(range(len(docs)))
+        batch = infer_documents(model, docs, 10, seeds)
+        assert batch.dtype == np.float64
+        for row, tokens, seed in zip(batch, docs, seeds):
+            np.testing.assert_allclose(row, reference_infer(model, tokens, 10, seed), rtol=0, atol=1e-12)
+
+    def test_saturated_logits_stay_finite_and_quiet(self, inference_model):
+        """Node vectors scaled by 1e3 drive |u| up to thousands, far beyond
+        the 88 where exp overflows float32: the clip keeps every step finite
+        and free of RuntimeWarnings."""
+        model = dataclasses.replace(inference_model, node_vectors=inference_model.node_vectors * 1e3)
+        docs = [["red0", "blue1", "red3"], ["blue2"] * 9, ["red1", "red2"] * 4]
+        seeds = [3, 4, 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = infer_documents(model, docs, 3, seeds)
+        assert np.all(np.isfinite(batch))
+        for row, tokens, seed in zip(batch, docs, seeds):
+            np.testing.assert_allclose(row, reference_infer(model, tokens, 3, seed), rtol=0, atol=1e-5)
+
     def test_empty_batch(self, inference_model):
         out = infer_documents(inference_model, [])
         assert out.shape == (0, inference_model.dim)
@@ -610,6 +652,16 @@ class TestNearestWords:
     def test_unknown_mode_is_an_error(self, model):
         with pytest.raises(InputError, match="embed"):
             nearest_words(model, ["red0"], embed="other")
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_n_returns_before_inferring(self, model, monkeypatch, n):
+        def fail(*args, **kwargs):
+            raise AssertionError("infer_document was called")
+
+        monkeypatch.setattr(doc2vec, "infer_document", fail)
+        assert nearest_words(model, ["red0"], n=n) == []
+        with pytest.raises(InputError, match="embed"):
+            nearest_words(model, ["red0"], n=n, embed="other")
 
 
 class TestModelFiles:
@@ -670,6 +722,25 @@ class TestModelFiles:
         assert set(loaded) == set(table)
         for key in table:
             np.testing.assert_array_equal(loaded[key], table[key])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_sidecar_text_is_per_component_floats(self, tmp_path, dtype):
+        """The sidecar writes each component as float(x) would, byte for byte:
+        signed zeros, subnormals and the largest finite value included."""
+        info = np.finfo(dtype)
+        table = {
+            "edge": np.array([0.1, -0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                              info.tiny / 3, info.max, -info.max, -1 / 3, 1e-30], dtype=dtype),
+            "random": np.random.default_rng(0).normal(size=7).astype(dtype),
+            "ints": np.arange(-2, 3),
+        }
+        path = tmp_path / "emb.jsonl"
+        save_embeddings(table, str(path))
+        expected = "".join(
+            json.dumps({"id": key, "embedding": [float(x) for x in vec]}) + "\n"
+            for key, vec in table.items()
+        )
+        assert path.read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize("matrix", ["word", "node", "doc"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
