@@ -7,6 +7,12 @@ learned and fits a fresh linear head on the trunk output alone, so test-time
 prediction needs no text. The fusion weights that multiply the embedding
 occupy a contiguous row block and can be zeroed to ablate the text path.
 A separate sigmoid head predicts which curated words co-occur with an image.
+
+Every loss builds its gradients from one per-layer affine backward step, and
+the trunk's part is one shared function. The four trainers (stage 1, stage
+2, the word head and the direct image-only baseline) differ only in their
+set-up and loss; one minibatch Adam loop fits them all. Every prediction
+takes the same argmax over (Left, Right) scores, in which a tie is Left.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,8 +61,8 @@ class TrainSpec:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise InputError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise InputError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise InputError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise InputError(f"batch size must be >= 1, got {self.batch_size}")
 
@@ -90,24 +97,25 @@ class BiasModel:
     def text_dim(self) -> int:
         return self.fusion.in_dim - self.trunk2.out_dim
 
+    def layers(self) -> dict[str, Affine]:
+        """The present layers in checkpoint order, keyed by the prefix of
+        their parameter names."""
+        named = {
+            "trunk1": self.trunk1,
+            "trunk2": self.trunk2,
+            "fusion": self.fusion,
+            "head1": self.head1,
+            "head2": self.head2,
+            "word": self.word_head,
+        }
+        return {name: layer for name, layer in named.items() if layer is not None}
+
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed by name; optimizers mutate these."""
-        params = {
-            "trunk1_W": self.trunk1.W,
-            "trunk1_b": self.trunk1.b,
-            "trunk2_W": self.trunk2.W,
-            "trunk2_b": self.trunk2.b,
-            "fusion_W": self.fusion.W,
-            "fusion_b": self.fusion.b,
-            "head1_W": self.head1.W,
-            "head1_b": self.head1.b,
-        }
-        if self.head2 is not None:
-            params["head2_W"] = self.head2.W
-            params["head2_b"] = self.head2.b
-        if self.word_head is not None:
-            params["word_W"] = self.word_head.W
-            params["word_b"] = self.word_head.b
+        params = {}
+        for name, layer in self.layers().items():
+            params[f"{name}_W"] = layer.W
+            params[f"{name}_b"] = layer.b
         return params
 
     def copy(self) -> "BiasModel":
@@ -162,10 +170,10 @@ def _trunk_forward(model: BiasModel, x: np.ndarray):
 
 
 def _fused_forward(model: BiasModel, x: np.ndarray, text: np.ndarray):
-    h1_pre, h1, h2_pre, h2 = _trunk_forward(model, x)
-    joint = np.concatenate([h2, text], axis=1)
+    trunk = _trunk_forward(model, x)
+    joint = np.concatenate([trunk[-1], text], axis=1)
     f_pre = joint @ model.fusion.W + model.fusion.b
-    return h1_pre, h1, h2_pre, h2, joint, f_pre, relu(f_pre)
+    return trunk, joint, f_pre, relu(f_pre)
 
 
 def forward_stage1(model: BiasModel, feature, doc_embedding) -> np.ndarray:
@@ -182,22 +190,34 @@ def forward_stage1(model: BiasModel, feature, doc_embedding) -> np.ndarray:
     return logits[0] if squeeze else logits
 
 
-def _backprop_fused(model: BiasModel, cache, dfused_pre) -> dict[str, np.ndarray]:
-    """Gradients of trunk and fusion given d loss / d pre-activation fusion."""
-    x, text, h1_pre, h1, h2_pre, h2, joint = cache
-    hidden = model.hidden_dim
-    grads = {
-        "fusion_W": joint.T @ dfused_pre,
-        "fusion_b": dfused_pre.sum(axis=0),
-    }
-    djoint = dfused_pre @ model.fusion.W.T
-    dh2 = djoint[:, :hidden] * (h2_pre > 0)
-    grads["trunk2_W"] = h1.T @ dh2
-    grads["trunk2_b"] = dh2.sum(axis=0)
-    dh1 = (dh2 @ model.trunk2.W.T) * (h1_pre > 0)
-    grads["trunk1_W"] = x.T @ dh1
-    grads["trunk1_b"] = dh1.sum(axis=0)
-    return grads
+def _affine_backward(grads: dict, name: str, x: np.ndarray, dy: np.ndarray, W=None):
+    """Store the gradients of `<name>_W` and `<name>_b` in y = x @ W + b
+    given d loss / d y; return d loss / d x when the layer's `W` is given."""
+    grads[f"{name}_W"] = x.T @ dy
+    grads[f"{name}_b"] = dy.sum(axis=0)
+    return None if W is None else dy @ W.T
+
+
+def _trunk_backward(model: BiasModel, grads: dict, x, trunk, dh2) -> None:
+    """Trunk gradients given d loss / d trunk output (after the ReLU)."""
+    h1_pre, h1, h2_pre, _ = trunk
+    dh2 = dh2 * (h2_pre > 0)
+    dh1 = _affine_backward(grads, "trunk2", h1, dh2, model.trunk2.W) * (h1_pre > 0)
+    _affine_backward(grads, "trunk1", x, dh1)
+
+
+def _fused_head_grads(
+    model: BiasModel, head: Affine, name: str, features, text, loss_fn
+) -> tuple[float, dict[str, np.ndarray]]:
+    """loss_fn(logits) of a head on the fusion output, and the gradients of
+    that head, the fusion layer and the trunk."""
+    trunk, joint, f_pre, fused = _fused_forward(model, features, text)
+    loss, dlogits = loss_fn(fused @ head.W + head.b)
+    grads: dict[str, np.ndarray] = {}
+    dfused_pre = _affine_backward(grads, name, fused, dlogits, head.W) * (f_pre > 0)
+    djoint = _affine_backward(grads, "fusion", joint, dfused_pre, model.fusion.W)
+    _trunk_backward(model, grads, features, trunk, djoint[:, : model.hidden_dim])
+    return loss, grads
 
 
 def stage1_loss_and_grads(
@@ -209,19 +229,8 @@ def stage1_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Class-weighted cross-entropy of the stage-1 head and its gradients
     for every trainable stage-1 parameter."""
-    h1_pre, h1, h2_pre, h2, joint, f_pre, fused = _fused_forward(
-        model, features, text
-    )
-    logits = fused @ model.head1.W + model.head1.b
-    loss, dlogits = weighted_cross_entropy(logits, labels, weights)
-    grads = {
-        "head1_W": fused.T @ dlogits,
-        "head1_b": dlogits.sum(axis=0),
-    }
-    dfused_pre = (dlogits @ model.head1.W.T) * (f_pre > 0)
-    cache = (features, text, h1_pre, h1, h2_pre, h2, joint)
-    grads.update(_backprop_fused(model, cache, dfused_pre))
-    return loss, grads
+    loss_fn = partial(weighted_cross_entropy, labels=labels, weights=weights)
+    return _fused_head_grads(model, model.head1, "head1", features, text, loss_fn)
 
 
 def stage2_loss_and_grads(
@@ -231,10 +240,9 @@ def stage2_loss_and_grads(
     outputs."""
     logits = trunk_out @ head2.W + head2.b
     loss, dlogits = weighted_cross_entropy(logits, labels, weights)
-    return loss, {
-        "head2_W": trunk_out.T @ dlogits,
-        "head2_b": dlogits.sum(axis=0),
-    }
+    grads: dict[str, np.ndarray] = {}
+    _affine_backward(grads, "head2", trunk_out, dlogits)
+    return loss, grads
 
 
 def image_only_loss_and_grads(
@@ -244,19 +252,13 @@ def image_only_loss_and_grads(
     the direct no-text baseline."""
     if model.head2 is None:
         raise InputError("model has no stage-2 head")
-    h1_pre, h1, h2_pre, h2 = _trunk_forward(model, features)
+    trunk = _trunk_forward(model, features)
+    h2 = trunk[-1]
     logits = h2 @ model.head2.W + model.head2.b
     loss, dlogits = weighted_cross_entropy(logits, labels, weights)
-    grads = {
-        "head2_W": h2.T @ dlogits,
-        "head2_b": dlogits.sum(axis=0),
-    }
-    dh2 = (dlogits @ model.head2.W.T) * (h2_pre > 0)
-    grads["trunk2_W"] = h1.T @ dh2
-    grads["trunk2_b"] = dh2.sum(axis=0)
-    dh1 = (dh2 @ model.trunk2.W.T) * (h1_pre > 0)
-    grads["trunk1_W"] = features.T @ dh1
-    grads["trunk1_b"] = dh1.sum(axis=0)
+    grads: dict[str, np.ndarray] = {}
+    dh2 = _affine_backward(grads, "head2", h2, dlogits, model.head2.W)
+    _trunk_backward(model, grads, features, trunk, dh2)
     return loss, grads
 
 
@@ -266,34 +268,27 @@ def word_head_loss_and_grads(
     """Multi-label BCE of the word head with trunk and fusion trainable."""
     if model.word_head is None:
         raise InputError("model has no word head")
-    h1_pre, h1, h2_pre, h2, joint, f_pre, fused = _fused_forward(
-        model, features, text
-    )
-    logits = fused @ model.word_head.W + model.word_head.b
-    loss, dlogits = bce_with_logits(logits, targets)
-    grads = {
-        "word_W": fused.T @ dlogits,
-        "word_b": dlogits.sum(axis=0),
-    }
-    dfused_pre = (dlogits @ model.word_head.W.T) * (f_pre > 0)
-    cache = (features, text, h1_pre, h1, h2_pre, h2, joint)
-    grads.update(_backprop_fused(model, cache, dfused_pre))
-    return loss, grads
+    loss_fn = partial(bce_with_logits, targets=targets)
+    return _fused_head_grads(model, model.word_head, "word", features, text, loss_fn)
 
 
-def _labels_and_weights(
-    samples: list[Sample], class_weights: ClassWeights | None, dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.array([_SIDE_INDEX[s.side] for s in samples], dtype=np.int64)
-    if class_weights is None:
-        return labels, np.ones(len(samples), dtype=dtype)
-    weights = np.array([class_weights.of(s.side) for s in samples], dtype=dtype)
-    return labels, weights
+def _training_data(corpus: Corpus, spec: TrainSpec, dtype):
+    """Features, side labels and per-sample loss weights of a non-empty
+    corpus; the weights are all 1 without class weights."""
+    if len(corpus) == 0:
+        raise InputError("cannot train on an empty corpus")
+    features = corpus.features().astype(dtype, copy=False)
+    labels = np.array([_SIDE_INDEX[s.side] for s in corpus], dtype=np.int64)
+    if spec.class_weights is None:
+        return features, labels, np.ones(len(corpus), dtype=dtype)
+    weights = [spec.class_weights.of(s.side) for s in corpus]
+    return features, labels, np.array(weights, dtype=dtype)
 
 
-def _embedding_matrix(
+def embedding_matrix(
     samples: list[Sample], embeddings: dict[str, np.ndarray], dtype
 ) -> np.ndarray:
+    """The samples' document embeddings stacked in order, one row each."""
     rows = []
     for sample in samples:
         if sample.id not in embeddings:
@@ -305,28 +300,39 @@ def _embedding_matrix(
         raise InputError("document embeddings have inconsistent lengths") from None
 
 
-def _run_epochs(
-    name: str,
-    spec: TrainSpec,
-    n: int,
-    order_rng: np.random.Generator,
-    batch_step,
-) -> list[float]:
-    """Shared minibatch loop: seeded shuffle each epoch, Adam step per batch,
-    mean loss per epoch. `batch_step(idx, adam)` returns the batch loss."""
+# history key -> (order sub-seed, name in a divergence error)
+_FITS = {
+    "stage1": ("stage1-order", "stage-1"),
+    "stage2": ("stage2-order", "stage-2"),
+    "image-only": ("image-only-order", "image-only"),
+    "words": ("word-order", "word-head"),
+}
+
+
+def _fit(model: BiasModel, key: str, spec: TrainSpec, loss_and_grads, *arrays):
+    """Minibatch Adam over the rows of `arrays`: a seeded shuffle each epoch,
+    one step per batch on the parameters that `loss_and_grads(*batch)`
+    returns gradients for, and the mean loss per epoch recorded as
+    model.history[key]. Returns the model."""
+    order_seed, name = _FITS[key]
+    order = np.random.default_rng(derive_seed(spec.seed, order_seed))
     adam = spec.optimizer()
+    params = model.parameters()
+    n = len(arrays[0])
     losses = []
     for _ in range(spec.epochs):
-        perm = order_rng.permutation(n)
+        perm = order.permutation(n)
         total = 0.0
         for start in range(0, n, spec.batch_size):
             idx = perm[start : start + spec.batch_size]
-            loss = batch_step(idx, adam)
+            loss, grads = loss_and_grads(*(array[idx] for array in arrays))
+            adam.step(params, grads)
             if not np.isfinite(loss):
                 raise NumericError(f"{name} loss diverged to {loss}")
             total += loss * len(idx)
         losses.append(total / n)
-    return losses
+    model.history[key] = losses
+    return model
 
 
 def train_stage1(
@@ -341,9 +347,8 @@ def train_stage1(
 ) -> BiasModel:
     """Jointly train trunk, fusion, and the stage-1 head on image features
     plus per-document embeddings."""
-    if len(corpus) == 0:
-        raise InputError("cannot train on an empty corpus")
-    text = _embedding_matrix(corpus.samples, embeddings, dtype)
+    features, labels, weights = _training_data(corpus, spec, dtype)
+    text = embedding_matrix(corpus.samples, embeddings, dtype)
     if model is None:
         model = build_model(
             corpus.feature_dim,
@@ -353,22 +358,8 @@ def train_stage1(
             seed=spec.seed,
             dtype=dtype,
         )
-    features = corpus.features().astype(dtype, copy=False)
-    labels, weights = _labels_and_weights(corpus.samples, spec.class_weights, dtype)
-    params = model.parameters()
-
-    def batch_step(idx, adam):
-        loss, grads = stage1_loss_and_grads(
-            model, features[idx], text[idx], labels[idx], weights[idx]
-        )
-        adam.step(params, grads)
-        return loss
-
-    order = np.random.default_rng(derive_seed(spec.seed, "stage1-order"))
-    model.history["stage1"] = _run_epochs(
-        "stage-1", spec, len(corpus), order, batch_step
-    )
-    return model
+    loss_and_grads = partial(stage1_loss_and_grads, model)
+    return _fit(model, "stage1", spec, loss_and_grads, features, text, labels, weights)
 
 
 def train_stage2(
@@ -377,28 +368,13 @@ def train_stage2(
     """Freeze the stage-1 parameters and fit a fresh linear head on the
     trunk output alone. The returned model's trunk, fusion, and stage-1
     head are bit-identical to the input's."""
-    if len(corpus) == 0:
-        raise InputError("cannot train on an empty corpus")
+    features, labels, weights = _training_data(corpus, spec, dtype)
     out = model.copy()
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
     out.head2 = Affine.create(init, out.hidden_dim, 2, dtype)
-    features = corpus.features().astype(dtype, copy=False)
     trunk_out = _trunk_forward(out, features)[-1]  # frozen: compute once
-    labels, weights = _labels_and_weights(corpus.samples, spec.class_weights, dtype)
-    params = {"head2_W": out.head2.W, "head2_b": out.head2.b}
-
-    def batch_step(idx, adam):
-        loss, grads = stage2_loss_and_grads(
-            out.head2, trunk_out[idx], labels[idx], weights[idx]
-        )
-        adam.step(params, grads)
-        return loss
-
-    order = np.random.default_rng(derive_seed(spec.seed, "stage2-order"))
-    out.history["stage2"] = _run_epochs(
-        "stage-2", spec, len(corpus), order, batch_step
-    )
-    return out
+    loss_and_grads = partial(stage2_loss_and_grads, out.head2)
+    return _fit(out, "stage2", spec, loss_and_grads, trunk_out, labels, weights)
 
 
 def train_image_only(
@@ -412,8 +388,7 @@ def train_image_only(
 ) -> BiasModel:
     """Direct baseline: the same trunk and linear head as stage 2, but
     trained end to end on features alone, with no text stage."""
-    if len(corpus) == 0:
-        raise InputError("cannot train on an empty corpus")
+    features, labels, weights = _training_data(corpus, spec, dtype)
     model = build_model(
         corpus.feature_dim,
         hidden=hidden,
@@ -424,42 +399,25 @@ def train_image_only(
     )
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
     model.head2 = Affine.create(init, hidden, 2, dtype)
-    features = corpus.features().astype(dtype, copy=False)
-    labels, weights = _labels_and_weights(corpus.samples, spec.class_weights, dtype)
-    trainable = {
-        name: array
-        for name, array in model.parameters().items()
-        if name.startswith(("trunk", "head2"))
-    }
-
-    def batch_step(idx, adam):
-        loss, grads = image_only_loss_and_grads(
-            model, features[idx], labels[idx], weights[idx]
-        )
-        adam.step(trainable, grads)
-        return loss
-
-    order = np.random.default_rng(derive_seed(spec.seed, "image-only-order"))
-    model.history["image-only"] = _run_epochs(
-        "image-only", spec, len(corpus), order, batch_step
-    )
-    return model
+    loss_and_grads = partial(image_only_loss_and_grads, model)
+    return _fit(model, "image-only", spec, loss_and_grads, features, labels, weights)
 
 
-def _argmax_side(probs: np.ndarray) -> SideLabel:
-    # an exact 0.5/0.5 split resolves to Left
-    return _INDEX_SIDE[0 if probs[0] >= probs[1] else 1]
+def argmax_sides(scores: np.ndarray) -> list[SideLabel]:
+    """Per row of (Left, Right) scores, the side scored higher; an exact tie
+    resolves to Left."""
+    left = scores[:, 0] >= scores[:, 1]
+    return [_INDEX_SIDE[0 if is_left else 1] for is_left in left.tolist()]
+
+
+def _first_prediction(probs: np.ndarray) -> tuple[SideLabel, float]:
+    side = argmax_sides(probs[:1])[0]
+    return side, float(probs[0, _SIDE_INDEX[side]])
 
 
 def predict(model: BiasModel, feature) -> tuple[SideLabel, float]:
     """Image-only prediction through the stage-2 head."""
-    if model.head2 is None:
-        raise InputError("stage 2 head has not been trained")
-    x, _ = _as_batch(feature, model.feature_dim, "feature")
-    trunk_out = _trunk_forward(model, x)[-1]
-    probs = softmax(trunk_out @ model.head2.W + model.head2.b)[0]
-    side = _argmax_side(probs)
-    return side, float(probs[_SIDE_INDEX[side]])
+    return _first_prediction(predict_batch(model, feature)[1])
 
 
 def predict_batch(model: BiasModel, features) -> tuple[list[SideLabel], np.ndarray]:
@@ -469,16 +427,13 @@ def predict_batch(model: BiasModel, features) -> tuple[list[SideLabel], np.ndarr
     x, _ = _as_batch(features, model.feature_dim, "features")
     trunk_out = _trunk_forward(model, x)[-1]
     probs = softmax(trunk_out @ model.head2.W + model.head2.b)
-    sides = [_argmax_side(row) for row in probs]
-    return sides, probs
+    return argmax_sides(probs), probs
 
 
 def predict_stage1(model: BiasModel, feature, doc_embedding) -> tuple[SideLabel, float]:
     """Prediction through the stage-1 head, which needs the text embedding."""
     logits = forward_stage1(model, feature, doc_embedding)
-    probs = softmax(np.atleast_2d(logits))[0]
-    side = _argmax_side(probs)
-    return side, float(probs[_SIDE_INDEX[side]])
+    return _first_prediction(softmax(np.atleast_2d(logits)))
 
 
 def ablate_zero_text(model: BiasModel) -> BiasModel:
@@ -545,14 +500,12 @@ def train_word_head(
         raise InputError("visual-word list is empty")
     if len(set(words)) != len(words):
         raise InputError("visual-word list contains duplicates")
-    if len(corpus) == 0:
-        raise InputError("cannot train on an empty corpus")
+    features = _training_data(corpus, spec, dtype)[0]
     out = model.copy()
     init = np.random.default_rng(derive_seed(spec.seed, "word-head-init"))
     out.word_head = Affine.create(init, out.fused_dim, len(words), dtype)
     out.visual_words = list(words)
-    features = corpus.features().astype(dtype, copy=False)
-    text = _embedding_matrix(corpus.samples, embeddings, dtype)
+    text = embedding_matrix(corpus.samples, embeddings, dtype)
     index = {word: j for j, word in enumerate(words)}
     targets = np.zeros((len(corpus), len(words)), dtype=dtype)
     for i, sample in enumerate(corpus):
@@ -560,24 +513,8 @@ def train_word_head(
             j = index.get(word)
             if j is not None:
                 targets[i, j] = 1.0
-    trainable = {
-        name: array
-        for name, array in out.parameters().items()
-        if not name.startswith(("head1", "head2"))
-    }
-
-    def batch_step(idx, adam):
-        loss, grads = word_head_loss_and_grads(
-            out, features[idx], text[idx], targets[idx]
-        )
-        adam.step(trainable, grads)
-        return loss
-
-    order = np.random.default_rng(derive_seed(spec.seed, "word-order"))
-    out.history["words"] = _run_epochs(
-        "word-head", spec, len(corpus), order, batch_step
-    )
-    return out
+    loss_and_grads = partial(word_head_loss_and_grads, out)
+    return _fit(out, "words", spec, loss_and_grads, features, text, targets)
 
 
 def rank_images_for_word(
@@ -598,7 +535,7 @@ def rank_images_for_word(
         return []
     dtype = model.word_head.W.dtype
     features = corpus.features().astype(dtype, copy=False)
-    text = _embedding_matrix(corpus.samples, embeddings, dtype)
+    text = embedding_matrix(corpus.samples, embeddings, dtype)
     fused = _fused_forward(model, features, text)[-1]
     logits = fused @ model.word_head.W[:, column] + model.word_head.b[column]
     order = sorted(zip(-logits.astype(np.float64), corpus.ids()))
@@ -627,15 +564,9 @@ def save_checkpoint(model: BiasModel, path: str) -> None:
         write_u32(fh, len(model.visual_words))
         for word in model.visual_words:
             write_str(fh, word)
-        for layer in (model.trunk1, model.trunk2, model.fusion, model.head1):
+        for layer in model.layers().values():
             write_matrix(fh, layer.W)
             write_vector(fh, layer.b)
-        if model.head2 is not None:
-            write_matrix(fh, model.head2.W)
-            write_vector(fh, model.head2.b)
-        if model.word_head is not None:
-            write_matrix(fh, model.word_head.W)
-            write_vector(fh, model.word_head.b)
 
 
 def load_checkpoint(path: str) -> BiasModel:

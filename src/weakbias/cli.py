@@ -8,6 +8,12 @@ then [run] seed, then the WEAKBIAS_SEED environment variable, then 0)
 through stable named sub-seeds, so rerunning one stage never perturbs
 another.
 
+The [pvdm] and [train] flags are generated from the fields of PvdmConfig
+and TrainSettings, and each flag sets exactly one key: --epochs is [pvdm]
+epochs on train-text and [train] epochs on train-stage1, train-stage2 and
+train-words, while the pipeline commands (truncation-sweep, loso) spell the
+PV-DM one --pvdm-epochs.
+
 Progress goes to stderr (JSON lines with --json-logs), results to stdout
 or the requested output file. Exit codes: 0 success, 2 usage, 3 input,
 4 numeric failure.
@@ -27,8 +33,9 @@ import sys
 import numpy as np
 
 from .classifier import (
-    TrainSpec,
     ablate_zero_text,
+    argmax_sides,
+    embedding_matrix,
     forward_stage1,
     load_checkpoint,
     predict_batch,
@@ -40,9 +47,7 @@ from .classifier import (
     train_word_head,
 )
 from .corpus import (
-    SideLabel,
     build_vocabulary,
-    class_weights,
     load_corpus,
     save_corpus,
     tokenize,
@@ -108,6 +113,9 @@ class TrainSettings:
     hidden: int = 256
     fused: int = 256
     class_weights: bool = True
+
+
+_SECTION_TYPES = {"pvdm": PvdmConfig, "train": TrainSettings}
 
 
 @dataclasses.dataclass
@@ -204,14 +212,20 @@ def _coerce(kind, raw, where: str):
         raise UsageError(f"bad value {raw!r} for {where}") from None
 
 
-def _resolved(cls, args, file_cfg: dict, section_name: str) -> dict:
-    """Field values for a config dataclass: flag, then file key, then default.
+def _section_fields(section_name: str) -> dict[str, dataclasses.Field]:
+    """The settable fields of a [pvdm] or [train] section by lowercase key;
+    seeds never come from sections."""
+    cls = _SECTION_TYPES[section_name]
+    return {f.name.lower(): f for f in dataclasses.fields(cls) if f.name != "seed"}
 
-    Flags match on the field name, or on "<section>_<field>" where a
-    subcommand needs to distinguish (--pvdm-epochs vs --epochs). INI keys
-    are case-insensitive; seeds never come from sections."""
+
+def _resolved(args, file_cfg: dict, section_name: str) -> dict:
+    """Field values of a section: its own flag, then file key, then default.
+
+    A flag's destination is "<section>.<field>", so a flag sets exactly one
+    key. INI keys are case-insensitive."""
     section = {str(k).lower(): v for k, v in file_cfg.get(section_name, {}).items()}
-    known = {f.name.lower(): f for f in dataclasses.fields(cls) if f.name != "seed"}
+    known = _section_fields(section_name)
     unknown = set(section) - set(known)
     if unknown:
         raise UsageError(
@@ -219,12 +233,10 @@ def _resolved(cls, args, file_cfg: dict, section_name: str) -> dict:
         )
     values = {}
     for lowered, f in known.items():
-        value = getattr(args, f.name, None)
-        if value is None:
-            value = getattr(args, f"{section_name}_{f.name}", None)
+        value = getattr(args, f"{section_name}.{f.name}", None)
         if value is None and lowered in section:
-            kind = bool if isinstance(f.default, bool) else type(f.default)
-            value = _coerce(kind, section[lowered], f"[{section_name}] {f.name}")
+            where = f"[{section_name}] {f.name}"
+            value = _coerce(type(f.default), section[lowered], where)
         values[f.name] = f.default if value is None else value
     return values
 
@@ -271,27 +283,20 @@ def build_run_config(
             file_cfg = parse_config_text(fh.read())
     seed = resolve_seed(args, file_cfg)
     paths: dict[str, str] = {}
-    for name in inputs:
+    for name in (*inputs, *outputs, *optional):
         value = _resolve_path(args, file_cfg, name)
-        if value is None:
+        if value is None and name not in optional:
             raise UsageError(f"missing required path --{name.replace('_', '-')}")
-        paths[name] = _require_input(value, name.replace("_", " "))
-    for name in outputs:
-        value = _resolve_path(args, file_cfg, name)
-        if value is None:
-            raise UsageError(f"missing required path --{name.replace('_', '-')}")
-        paths[name] = value
-    for name in optional:
-        value = _resolve_path(args, file_cfg, name)
+        if name in inputs:
+            value = _require_input(value, name.replace("_", " "))
         if value is not None:
             paths[name] = value
     config = RunConfig(
         paths=paths,
         pvdm=PvdmConfig(
-            **_resolved(PvdmConfig, args, file_cfg, "pvdm"),
-            seed=derive_seed(seed, "text"),
+            **_resolved(args, file_cfg, "pvdm"), seed=derive_seed(seed, "text")
         ),
-        train=TrainSettings(**_resolved(TrainSettings, args, file_cfg, "train")),
+        train=TrainSettings(**_resolved(args, file_cfg, "train")),
         seed=seed,
     )
     dump_path = getattr(args, "dump_config", None)
@@ -309,8 +314,7 @@ def dump_config(config: RunConfig) -> str:
     for section_name, instance in (("pvdm", config.pvdm), ("train", config.train)):
         parser[section_name] = {
             f.name: str(getattr(instance, f.name))
-            for f in dataclasses.fields(instance)
-            if f.name != "seed"
+            for f in _section_fields(section_name).values()
         }
     parser["run"] = {"seed": str(config.seed)}
     out = io.StringIO()
@@ -331,30 +335,6 @@ def _write_result(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _train_spec(config: RunConfig, stage_name: str, *, weights) -> TrainSpec:
-    return TrainSpec(
-        epochs=config.train.epochs,
-        lr=config.train.lr,
-        batch_size=config.train.batch_size,
-        class_weights=weights,
-        seed=derive_seed(config.seed, stage_name),
-    )
-
-
-def _maybe_weights(config: RunConfig, corpus):
-    return class_weights(corpus) if config.train.class_weights else None
-
-
-def _stacked_embeddings(corpus, embeddings) -> np.ndarray:
-    missing = [s.id for s in corpus if s.id not in embeddings]
-    if missing:
-        raise InputError(
-            f"{len(missing)} samples have no document embedding "
-            f"(first: {missing[:3]})"
-        )
-    return np.stack([np.asarray(embeddings[s.id], np.float32) for s in corpus])
-
-
 def _pipeline_config(config: RunConfig) -> PipelineConfig:
     return PipelineConfig(
         pvdm=config.pvdm,
@@ -367,6 +347,11 @@ def _pipeline_config(config: RunConfig) -> PipelineConfig:
         use_class_weights=config.train.class_weights,
         seed=config.seed,
     )
+
+
+def _train_spec(config: RunConfig, stage: str, corpus=None):
+    """A train-* subcommand's stage settings; [train] epochs sets its epochs."""
+    return _pipeline_config(config).stage_spec(stage, config.train.epochs, corpus)
 
 
 def _read_words(path: str) -> list[str]:
@@ -506,7 +491,7 @@ def _cmd_train_stage1(args, progress: Progress) -> int:
     model = train_stage1(
         corpus,
         embeddings,
-        _train_spec(config, "stage1", weights=_maybe_weights(config, corpus)),
+        _train_spec(config, "stage1", corpus),
         hidden=config.train.hidden,
         fused=config.train.fused,
     )
@@ -520,11 +505,7 @@ def _cmd_train_stage2(args, progress: Progress) -> int:
     config = build_run_config(args, inputs=("corpus", "model"), outputs=("model_out",))
     corpus = load_corpus(config.paths["corpus"])
     model = load_checkpoint(config.paths["model"])
-    model = train_stage2(
-        model,
-        corpus,
-        _train_spec(config, "stage2", weights=_maybe_weights(config, corpus)),
-    )
+    model = train_stage2(model, corpus, _train_spec(config, "stage2", corpus))
     progress.history("stage2", model.history["stage2"])
     save_checkpoint(model, config.paths["model_out"])
     progress.event("saved", model=config.paths["model_out"])
@@ -600,7 +581,7 @@ def _cmd_train_words(args, progress: Progress) -> int:
         corpus,
         embeddings,
         _read_words(config.paths["words"]),
-        _train_spec(config, "words", weights=None),
+        _train_spec(config, "words"),
     )
     progress.history("words", model.history["words"])
     save_checkpoint(model, config.paths["model_out"])
@@ -632,11 +613,9 @@ def _cmd_eval(args, progress: Progress) -> int:
     if args.stage1:
         if embeddings_path is None:
             raise UsageError("--stage1 evaluation needs --embeddings")
-        text = _stacked_embeddings(corpus, load_embeddings(embeddings_path))
-        logits = forward_stage1(model, corpus.features(), text)
-        predictions = [
-            SideLabel.LEFT if row[0] >= row[1] else SideLabel.RIGHT for row in logits
-        ]
+        embeddings = load_embeddings(embeddings_path)
+        text = embedding_matrix(corpus.samples, embeddings, np.float32)
+        predictions = argmax_sides(forward_stage1(model, corpus.features(), text))
     else:
         predictions, _ = predict_batch(model, corpus.features())
     labels = [s.side for s in corpus]
@@ -713,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vocab", parents=[common], help="build and report the vocabulary")
     p.add_argument("--corpus", help="corpus JSONL")
-    p.add_argument("--min-count", dest="min_count", type=int)
+    _section_flags(p, "pvdm", "min_count")
     p.add_argument("--out", help="write word counts as JSON (default stdout)")
     p.set_defaults(func=_cmd_vocab)
 
@@ -724,12 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also save the training document vectors")
     p.add_argument("--raw", action="store_true",
                    help="save embeddings without unit-length normalization")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--initial-lr", dest="initial_lr", type=float)
-    p.add_argument("--final-lr", dest="final_lr", type=float)
+    _section_flags(p, "pvdm", "dim window epochs min_count initial_lr final_lr")
     p.set_defaults(func=_cmd_train_text)
 
     p = sub.add_parser("infer-text", parents=[common],
@@ -772,13 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--embeddings")
     p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--fused", type=int)
-    p.add_argument("--no-class-weights", dest="class_weights",
-                   action="store_const", const=False)
+    _section_flags(p, "train", "epochs lr batch_size hidden fused class_weights")
     p.set_defaults(func=_cmd_train_stage1)
 
     p = sub.add_parser("train-stage2", parents=[common],
@@ -786,11 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--model")
     p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--no-class-weights", dest="class_weights",
-                   action="store_const", const=False)
+    _section_flags(p, "train", "epochs lr batch_size class_weights")
     p.set_defaults(func=_cmd_train_stage2)
 
     p = sub.add_parser("ablate", parents=[common],
@@ -833,9 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--words", help="word list, one per line")
     p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    _section_flags(p, "train", "epochs lr batch_size")
     p.set_defaults(func=_cmd_train_words)
 
     p = sub.add_parser("rank-images", parents=[common],
@@ -889,19 +851,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _section_flags(p: argparse.ArgumentParser, section: str, names: str, **spelled):
+    """One flag per named field of a [section], setting only that key.
+
+    A flag is spelled --<field-name>, or as `spelled` gives it; a boolean
+    field, on by default, gets --no-<field-name> instead."""
+    fields = _section_fields(section)
+    for name in names.split():
+        kind, dest = type(fields[name].default), f"{section}.{name}"
+        flag = spelled.get(name, name.replace("_", "-"))
+        if kind is bool:
+            p.add_argument(f"--no-{flag}", dest=dest, action="store_const",
+                           const=False, help=f"sets [{section}] {name} = false")
+        else:
+            p.add_argument(f"--{flag}", dest=dest, type=kind, metavar=name.upper(),
+                           help=f"sets [{section}] {name}")
+
+
 def _pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, help="paragraph-vector dimension")
-    p.add_argument("--window", type=int)
-    p.add_argument("--pvdm-epochs", dest="pvdm_epochs", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--stage1-epochs", dest="stage1_epochs", type=int)
-    p.add_argument("--stage2-epochs", dest="stage2_epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--fused", type=int)
-    p.add_argument("--no-class-weights", dest="class_weights",
-                   action="store_const", const=False)
+    """The PV-DM and classifier settings of a whole-pipeline rerun."""
+    _section_flags(p, "pvdm", "dim window epochs min_count", epochs="pvdm-epochs")
+    names = "stage1_epochs stage2_epochs lr batch_size hidden fused class_weights"
+    _section_flags(p, "train", names)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,6 +29,21 @@ class PipelineConfig:
     use_class_weights: bool = True
     seed: int = 0
 
+    def stage_spec(self, stage: str, epochs: int, corpus: Corpus | None) -> TrainSpec:
+        """Settings of one classifier stage: its epochs, the shared lr and
+        batch size, the class weights of `corpus` when they are on (none
+        without a corpus), and the stage's named sub-seed of the root."""
+        weights = None
+        if corpus is not None and self.use_class_weights:
+            weights = class_weights(corpus)
+        return TrainSpec(
+            epochs=epochs,
+            lr=self.lr,
+            batch_size=self.batch_size,
+            class_weights=weights,
+            seed=derive_seed(self.seed, stage),
+        )
+
 
 @dataclasses.dataclass
 class PipelineResult:
@@ -60,8 +75,11 @@ def run_pipeline(train: Corpus, test: Corpus, config: PipelineConfig) -> Pipelin
     """Text model, stage 1, stage 2, and image-only test predictions.
 
     The pipeline owns stage seeding: the configured pvdm seed is replaced by
-    a sub-seed of the root, as are both training stages.
+    a sub-seed of the root, as are both training stages. Both stages'
+    settings are checked before any training starts.
     """
+    stage1_spec = config.stage_spec("stage1", config.stage1_epochs, train)
+    stage2_spec = config.stage_spec("stage2", config.stage2_epochs, train)
     pvdm_config = dataclasses.replace(
         config.pvdm, seed=derive_seed(config.seed, "text")
     )
@@ -70,31 +88,10 @@ def run_pipeline(train: Corpus, test: Corpus, config: PipelineConfig) -> Pipelin
         doc_id: normalize_embedding(vector)
         for doc_id, vector in training_embeddings(text_model).items()
     }
-    weights = class_weights(train) if config.use_class_weights else None
     stage1 = train_stage1(
-        train,
-        embeddings,
-        TrainSpec(
-            epochs=config.stage1_epochs,
-            lr=config.lr,
-            batch_size=config.batch_size,
-            class_weights=weights,
-            seed=derive_seed(config.seed, "stage1"),
-        ),
-        hidden=config.hidden,
-        fused=config.fused,
+        train, embeddings, stage1_spec, hidden=config.hidden, fused=config.fused
     )
-    model = train_stage2(
-        stage1,
-        train,
-        TrainSpec(
-            epochs=config.stage2_epochs,
-            lr=config.lr,
-            batch_size=config.batch_size,
-            class_weights=weights,
-            seed=derive_seed(config.seed, "stage2"),
-        ),
-    )
+    model = train_stage2(stage1, train, stage2_spec)
     predictions, probabilities = predict_batch(model, test.features())
     return PipelineResult(text_model, model, predictions, probabilities)
 

@@ -215,6 +215,26 @@ class TestGradients:
         )
 
 
+class TestTrainingInputs:
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        """NaN slips past a plain `lr <= 0` check; the error names the value."""
+        with pytest.raises(InputError, match=f"got {lr}$"):
+            TrainSpec(epochs=1, lr=lr)
+
+    def test_every_trainer_rejects_an_empty_corpus(self):
+        empty, spec = Corpus(8, []), TrainSpec(epochs=1)
+        model = train_stage2(tiny_model(), multimodal_corpus(n=4)[0], spec)
+        for train in (
+            lambda: train_stage1(empty, {}, spec),
+            lambda: train_stage2(model, empty, spec),
+            lambda: train_image_only(empty, spec),
+            lambda: train_word_head(model, empty, {}, ["w"], spec),
+        ):
+            with pytest.raises(InputError, match="empty corpus"):
+                train()
+
+
 class TestTrainStage1:
     def test_zero_epochs_returns_initialization(self):
         corpus, embeddings = multimodal_corpus(n=12)

@@ -11,11 +11,13 @@ from weakbias.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_USAGE,
+    TrainSettings,
+    build_parser,
     main,
     parse_config_text,
 )
 from weakbias.corpus import SideLabel, load_corpus, save_corpus
-from weakbias.doc2vec import load_embeddings, load_model
+from weakbias.doc2vec import PvdmConfig, load_embeddings, load_model
 from weakbias.errors import UsageError
 
 from helpers import make_corpus
@@ -49,13 +51,34 @@ def workspace(tmp_path_factory):
     return root
 
 
+SUBCOMMANDS = (
+    "vocab", "train-text", "infer-text", "nearest-words", "dedup",
+    "train-stage1", "train-stage2", "ablate", "truncation-sweep", "loso",
+    "select-words", "train-words", "rank-images", "eval", "make-synthetic",
+)
+
+
 class TestExitCodes:
-    def test_help_exits_zero(self, capsys):
-        """Spec example: eval --help prints usage and succeeds."""
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_exits_zero(self, command, capsys):
+        """Spec example: eval --help prints usage and succeeds; so does every
+        other subcommand, whose generated flags must all build."""
         with pytest.raises(SystemExit) as exc:
-            run("eval", "--help")
+            run(command, "--help")
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_benchmark_flag_spellings_parse(self):
+        """The flags the benchmark workloads pass keep their spellings."""
+        parser = build_parser()
+        args = parser.parse_args(["train-stage1", "--embeddings", "e.bin",
+                                  "--model-out", "m.ckpt", "--lr", "2e-3",
+                                  "--seed", "4"])
+        assert (args.embeddings, args.model_out, args.seed) == ("e.bin", "m.ckpt", 4)
+        args = parser.parse_args(["dedup", "--threshold", "0.5", "--report", "r"])
+        assert (args.threshold, args.report) == (0.5, "r")
+        args = parser.parse_args(["infer-text", "--embeddings-out", "e.bin"])
+        assert args.embeddings_out == "e.bin"
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -88,6 +111,28 @@ class TestExitCodes:
                        "--hidden", 16, "--fused", 8, "--seed", 5)
         assert code == EXIT_NUMERIC
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_exits_three(
+        self, workspace, tmp_path, capsys, lr
+    ):
+        """A flag, a [train] key and the pipeline commands all reach the
+        TrainSpec check, which names the value before anything trains."""
+        corpus = workspace / "corpus.jsonl"
+        config = tmp_path / "run.ini"
+        config.write_text(f"[train]\nlr = {lr}\n")
+        for argv in (
+            ["train-stage1", "--embeddings", workspace / "emb.bin", f"--lr={lr}",
+             "--model-out", tmp_path / "s1.ckpt"],
+            ["train-stage2", "--model", workspace / "s1.ckpt", "--config", config,
+             "--model-out", tmp_path / "s2.ckpt"],
+            ["loso", "--train", corpus, "--test", corpus, "--source", "l0",
+             f"--lr={lr}"],
+        ):
+            corpus_flag = [] if argv[0] == "loso" else ["--corpus", corpus]
+            assert run(*argv, *corpus_flag) == EXIT_INPUT
+            assert f"got {lr}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.ckpt"))
 
     def test_error_is_one_json_line_with_json_logs(self, tmp_path, capsys):
         code = run("vocab", "--corpus", tmp_path / "nope.jsonl", "--json-logs")
@@ -154,13 +199,27 @@ class TestConfigResolution:
         assert "[hnsw]" in capsys.readouterr().err
 
     def test_dump_round_trips(self, workspace, tmp_path, capsys):
-        """The dumped effective config, fed back in, dumps byte-identically."""
-        first = tmp_path / "first.ini"
-        second = tmp_path / "second.ini"
-        assert run("vocab", "--corpus", workspace / "corpus.jsonl",
-                   "--min-count", 3, "--seed", 11, "--dump-config", first) == 0
-        assert run("vocab", "--config", first, "--dump-config", second) == 0
-        assert first.read_bytes() == second.read_bytes()
+        """The dumped effective config, fed back in, dumps byte-identically;
+        --epochs sets the epochs of its own command's section only."""
+        corpus = workspace / "corpus.jsonl"
+        pvdm_default, train_default = PvdmConfig().epochs, TrainSettings().epochs
+        for argv, epochs in (
+            (["vocab", "--min-count", 3], None),
+            (["train-stage2", "--model", workspace / "s1.ckpt", "--epochs", 3,
+              "--model-out", tmp_path / "s2.ckpt"], (pvdm_default, 3)),
+            (["train-text", "--model-out", tmp_path / "t.pv", "--epochs", 3,
+              "--dim", 4, "--window", 1, "--min-count", 1], (3, train_default)),
+        ):
+            first = tmp_path / f"{argv[0]}-first.ini"
+            second = tmp_path / f"{argv[0]}-second.ini"
+            assert run(*argv, "--corpus", corpus, "--seed", 11,
+                       "--dump-config", first) == 0
+            assert run(argv[0], "--config", first, "--dump-config", second) == 0
+            assert first.read_bytes() == second.read_bytes()
+            if epochs is not None:
+                sections = parse_config_text(first.read_text())
+                dumped = (sections["pvdm"]["epochs"], sections["train"]["epochs"])
+                assert dumped == tuple(str(n) for n in epochs)
         capsys.readouterr()
 
     def test_seed_precedence(self, workspace, tmp_path, capsys, monkeypatch):
