@@ -1,13 +1,32 @@
-"""Little-endian binary primitives shared by the model file formats."""
+"""Little-endian binary primitives shared by the model file formats, and the
+atomic write every saved file goes through."""
 
 from __future__ import annotations
 
+import os
 import struct
-from typing import BinaryIO
+from contextlib import contextmanager
+from typing import IO, BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import InputError
+
+
+@contextmanager
+def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
+    """A new file beside `path`, opened for writing (UTF-8 text unless
+    binary), that replaces `path` only once the block ends without an error
+    and is removed if it raises: no write leaves a half-written file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_exact(fh: BinaryIO, n: int) -> bytes:

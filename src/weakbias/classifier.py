@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from .binio import (
+    atomic_write,
     expect_magic,
     read_matrix,
     read_str,
@@ -552,7 +553,7 @@ def save_checkpoint(model: BiasModel, path: str) -> None:
             f"word head has {model.word_head.out_dim} outputs but "
             f"{len(model.visual_words)} visual words"
         )
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         write_u32(fh, CHECKPOINT_VERSION)
         write_u32(fh, model.feature_dim)

@@ -32,6 +32,7 @@ import sys
 
 import numpy as np
 
+from .binio import atomic_write
 from .classifier import (
     ablate_zero_text,
     argmax_sides,
@@ -301,7 +302,7 @@ def build_run_config(
     )
     dump_path = getattr(args, "dump_config", None)
     if dump_path:
-        with open(dump_path, "w", encoding="utf-8") as fh:
+        with atomic_write(dump_path) as fh:
             fh.write(dump_config(config))
     return config
 
@@ -331,7 +332,7 @@ def _write_result(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(text)
 
 

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .binio import atomic_write
 from .errors import InputError
 
 CORPUS_FORMAT = "weakbias-corpus"
@@ -226,7 +227,7 @@ def load_corpus(path: str) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus back to JSONL in the load_corpus schema."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         header = {
             "format": CORPUS_FORMAT,
             "version": CORPUS_VERSION,

@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .binio import atomic_write
 from .corpus import Corpus, SideLabel
 from .errors import InputError
 
@@ -199,7 +200,7 @@ def save_cluster_report(
 ) -> None:
     """One JSON line per cluster: canonical id, member ids, and side counts
     when a corpus is supplied to look them up in."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for cluster in clusters:
             fh.write(json.dumps(cluster_report_row(cluster, corpus)) + "\n")
 

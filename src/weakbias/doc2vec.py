@@ -10,25 +10,29 @@ Leaf probabilities therefore sum to one by construction.
 
 Plain SGD, one update per position, learning rate decayed linearly over the
 whole schedule. Training is single-threaded and bit-reproducible: word,
-inner-node and document vectors are row blocks of one parameter array, and
-each position gathers its rows (path nodes, window words, document) once,
-updates the copy and writes it back, which gives the same bits as updating
-the three matrices one at a time. Inference fits only a fresh document
-vector against frozen word and node vectors, so unseen documents are
-independent and are embedded together, one position of every document per
-array update; what does not move with the document vectors is tabled first.
+inner-node and document vectors are row blocks of one parameter array,
+viewed as one opaque record per row. A position copies its rows (path
+nodes, window words, document) into a buffer shared by the positions of its
+shape, updates them there with in-place ufuncs and copies them back, which
+gives the bits of updating the three matrices one at a time. Its
+probabilities wait in a row per position; after the document, one log and
+one reduce per path length give the losses. Inference fits only a fresh
+document vector against frozen word and node vectors, so unseen documents
+are independent and are embedded together, one position of every document
+per array update; what does not move with the document vectors is tabled
+first.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .binio import (
+    atomic_write,
     expect_magic,
     read_matrix,
     read_str,
@@ -96,16 +100,11 @@ class PvdmModel:
         self._doc_index = {d: i for i, d in enumerate(self.doc_ids)}
 
 
-def _sigmoid_neg(u: np.ndarray) -> np.ndarray:
-    """sigmoid(-u); the trainer holds negated signs, so it saves a negation."""
-    # Clipping u at 60 keeps exp() finite. No clip at -60 is needed: below
-    # it exp(u) < 1e-26, so 1 + exp(u) rounds to 1 in float32 and float64
-    # alike, as it would with a clip.
-    return 1.0 / (1.0 + np.exp(np.minimum(u, 60.0)))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return _sigmoid_neg(-x)
+    # Clipping -x at 60 keeps exp() finite. No clip at -60 is needed: below
+    # it exp(-x) < 1e-26, so 1 + exp(-x) rounds to 1 in float32 and float64
+    # alike, as it would with a clip.
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 60.0)))
 
 
 def path_gradients(
@@ -164,70 +163,113 @@ def hs_probability(model: PvdmModel, context: np.ndarray, word: str) -> float:
     return float(np.prod(_sigmoid(signs * z)))
 
 
-def _doc_token_indices(corpus: Corpus, vocab: Vocabulary) -> tuple[list[np.ndarray], int]:
-    """Per-document arrays of in-vocabulary token indices, plus skip count."""
-    index = vocab.index
-    rows = []
-    skipped = 0
-    for s in corpus:
-        idx = [index[t] for t in s.tokens if t in index]
-        if not idx:
-            skipped += 1
-        rows.append(np.asarray(idx, dtype=np.int64))
-    return rows, skipped
-
-
-def _position_plan(token_idx: np.ndarray, window: int, dtype) -> list[tuple]:
-    """Static per-position context structure for one document.
-
-    Entries are (target, unique context indices, occurrence counts, m) with
-    m the averaging denominator (window size + 1 for the document vector).
-    Window membership never changes across epochs, so this is built once.
-    """
-    plan = []
-    tokens = token_idx.tolist()  # windows are a few ids: np.unique costs more
-    for t, target in enumerate(tokens):
-        ctx = tokens[max(t - window, 0) : t] + tokens[t + 1 : t + 1 + window]
-        counts = Counter(ctx)
-        uniq = sorted(counts)
-        plan.append(
-            (
-                target,
-                np.array(uniq, dtype=token_idx.dtype),
-                np.array([counts[u] for u in uniq], dtype=dtype),
-                len(ctx) + 1,
-            )
-        )
-    return plan
-
-
 def _linear_decay(config: PvdmConfig, done, total) -> np.ndarray:
     """Learning rate (float64) after `done` of `total` updates, elementwise."""
     initial, final = config.initial_lr, config.final_lr
     return initial - (initial - final) * np.minimum(np.divide(done, total), 1.0)
 
 
-def _sgd_pass(params: np.ndarray, plan: list[tuple], lrs, steps) -> float:
-    """One SGD pass over a document, updating `params` (words, inner nodes,
-    documents stacked) in place; returns the summed pre-update position loss.
-    A position's rows are distinct, so it is one gather and one write-back.
-    steps[t] is -lrs[t] / m, rounded to the model dtype only after dividing."""
-    total_loss = 0.0
-    for (rows, n, weights, repeats, m, neg_signs), lr, step in zip(plan, lrs, steps):
-        block = params.take(rows, axis=0)
-        nodes = block[:n]
-        context = block[-1] if weights is None else (block[-1] + weights @ block[n:-1]) / m
-        probs = _sigmoid_neg(neg_signs * (nodes @ context))
-        total_loss -= float(np.add.reduce(np.log(probs)))
-        coef = (1.0 - probs) * neg_signs  # d(-log sigmoid(s z)) / dz
-        delta = (coef @ nodes) * step
-        nodes -= lr * (coef[:, None] * context)
+def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim: int,
+                    dtype: np.dtype) -> tuple[list[tuple], list[np.ndarray]]:
+    """_sgd_pass's plan of each non-empty token-id row, built once, and the loss
+    buffers, one per path length n.
+
+    A document is (positions, position count per n, each position's index
+    among the loss rows in n order, m as float64). A position is (params rows:
+    path nodes, sorted unique window words, document; the buffers shared with
+    the positions of its n and u unique window words; weights, None if m == 1;
+    repeats as a column, None if all are 1; m; 2 bits - 1; its loss row)."""
+    n_words, depth = len(vocab), max(p.size for p in vocab.paths)
+    node_rows = [(p + n_words).tolist() for p in vocab.paths]
+    neg_signs = [2.0 * c.astype(dtype) - 1.0 for c in vocab.codes]
+    ones = [np.ones(k, dtype) for k in range(2 * window + 1)]
+    m_values = [dtype.type(m) for m in range(2 * window + 2)]
+    losses = [np.empty((max(map(len, rows)), n), dtype) for n in range(depth + 1)]
+    # Positions run one at a time, so every shape's buffers are prefixes of one set.
+    block = np.empty(depth + 2 * window + 1, np.dtype((np.void, dim * dtype.itemsize)))
+    floats, coef = block.view(dtype).reshape(-1, dim), np.empty((depth, 1), dtype)
+    u, g = np.empty(depth, dtype), np.empty((depth, dim), dtype)
+    context, delta = np.empty(dim, dtype), np.empty(dim, dtype)
+    buffers, repeated, plans = {}, {}, []
+    for doc_row, row in enumerate(rows, n_words + vocab.n_inner_nodes):
+        flat, ends, lengths, positions, counts = [], [], [], [], [0] * (depth + 1)
+        tokens = row.tolist()
+        for t, word in enumerate(tokens):
+            ctx = tokens[max(t - window, 0) : t] + tokens[t + 1 : t + 1 + window]
+            uniq, n = sorted(set(ctx)), len(node_rows[word])
+            flat += node_rows[word] + uniq + [doc_row]
+            ends.append(len(flat))
+            shape = n, len(uniq)
+            if shape not in buffers:
+                view = floats[: n + len(uniq) + 1]
+                buffers[shape] = (block[: n + len(uniq) + 1], view[:n], view[n:-1], view[-1],
+                                  view[n:], u[:n], coef[:n, 0], coef[:n], g[:n], context, delta,
+                                  losses[n])
+            weights, repeats = (ones[len(ctx)] if ctx else None), None
+            if len(uniq) < len(ctx):  # a word repeats: the weights are its counts
+                key = tuple(map(ctx.count, uniq))
+                if key not in repeated:
+                    repeated[key] = np.array(key, dtype), np.array(key, dtype)[:, None]
+                weights, repeats = repeated[key]
+            positions.append((buffers[shape], weights, repeats, m_values[len(ctx) + 1],
+                              neg_signs[word], counts[n]))
+            lengths.append(n)
+            counts[n] += 1
+        if positions:
+            flat, offsets = np.array(flat, np.intp), np.cumsum([0] + counts).tolist()
+            plans.append((
+                [(flat[a:b], *p) for a, b, p in zip([0] + ends, ends, positions)],
+                counts,
+                [offsets[n] + p[-1] for n, p in zip(lengths, positions)],
+                np.array([p[3] for p in positions], np.float64),
+            ))
+    return plans, losses
+
+
+def _sgd_pass(records: np.ndarray, losses: list[np.ndarray], plan: tuple, lrs, steps) -> float:
+    """One SGD pass over a document through `records`, the parameters as one
+    record per row; returns the summed pre-update position loss. steps[t] is
+    -lrs[t] / m, rounded to the model dtype only after dividing. The bits are
+    those of the plain update: the gather and the write-back copy whole
+    records, each in-place ufunc is the IEEE operation of the plain
+    expression (commuted at most), and a row-wise add.reduce per path length
+    sums each row as a reduce of that row alone does; padded rows would not."""
+    positions, counts, order, _ = plan
+    one, clip = np.array(1.0, lrs.dtype), np.array(60.0, lrs.dtype)  # 0-d: no scalar casts
+    for (rows, buffers, weights, repeats, m, neg_signs, j), lr, step in zip(positions, lrs, steps):
+        block, nodes, words, doc, tail, u, coef, coef_col, g, ctx, delta, loss = buffers
+        records.take(rows, out=block, mode="clip")  # in range; "raise" would buffer `out`
+        context = doc
+        if weights is not None:
+            context = np.matmul(weights, words, out=ctx)
+            context += doc
+            context /= m
+        np.matmul(nodes, context, out=u)
+        u *= neg_signs
+        np.minimum(u, clip, out=u)
+        np.exp(u, out=u)
+        u += one
+        probs = np.divide(one, u, out=loss[j])
+        np.subtract(one, probs, out=coef)  # d(-log sigmoid(s z)) / dz, over s
+        coef *= neg_signs
+        np.matmul(coef, nodes, out=delta)
+        delta *= step
+        np.multiply(coef_col, context, out=g)
+        g *= lr
+        nodes -= g
         if repeats is None:
-            block[n:] += delta
+            tail += delta
         else:
-            block[n:-1] += repeats[:, None] * delta
-            block[-1] += delta
-        params[rows] = block
+            words += repeats * delta
+            doc += delta
+        records[rows] = block
+    sums = []
+    for loss, count in zip(losses, counts):
+        if count:
+            sums += np.add.reduce(np.log(loss[:count], out=loss[:count]), axis=1).tolist()
+    total_loss = 0.0
+    for i in order:
+        total_loss -= sums[i]
     return total_loss
 
 
@@ -258,7 +300,9 @@ def train_pvdm(
     doc_vectors[:] = rng.uniform(-scale, scale, doc_vectors.shape)
     node_vectors[:] = 0.0
 
-    token_rows, skipped = _doc_token_indices(corpus, vocab)
+    index = vocab.index
+    rows = [np.array([index[t] for t in s.tokens if t in index], np.int64) for s in corpus]
+    skipped = sum(row.size == 0 for row in rows)
     if skipped:
         warnings.warn(
             f"{skipped} of {len(corpus)} documents have no in-vocabulary tokens "
@@ -273,39 +317,20 @@ def train_pvdm(
         config=config,
         doc_ids=corpus.ids(),
     )
-    total_positions = sum(row.size for row in token_rows)
+    total_positions = sum(row.size for row in rows)
     if config.epochs == 0 or total_positions == 0:
         return model
 
-    # A position is its params rows (path nodes, window words, document), path
-    # length, window weights (None if m == 1), the weights unless all are 1, m
-    # and the target's negated signs; ones, m and signs are shared arrays.
-    node_rows = [path.astype(np.intp) + n_words for path in vocab.paths]
-    neg_signs = [2.0 * c.astype(dtype) - 1.0 for c in vocab.codes]
-    ones = {k: np.ones(k, dtype=dtype) for k in range(1, 2 * config.window + 1)}
-    m_values = {m: dtype.type(m) for m in range(1, 2 * config.window + 2)}
-    plans = []
-    for i, row in enumerate(token_rows):
-        plan, doc_row = [], n_words + n_nodes + i
-        for word, uniq, repeats, m in _position_plan(row, config.window, dtype):
-            unit = uniq.size == m - 1
-            plan.append((
-                np.concatenate([node_rows[word], uniq, [doc_row]]),
-                node_rows[word].size,
-                None if m == 1 else ones[m - 1] if unit else repeats,
-                None if unit else repeats,
-                m_values[m],
-                neg_signs[word],
-            ))
-        if plan:
-            plans.append((plan, np.array([p[4] for p in plan], dtype=np.float64)))
-
+    plans, losses = _document_plans(rows, vocab, config.window, dim, dtype)
+    records = params.view(np.dtype((np.void, dim * dtype.itemsize))).reshape(-1)
     total_updates = config.epochs * total_positions
     for epoch in range(config.epochs):
         epoch_loss, done = 0.0, epoch * total_positions
-        for plan, m in plans:
+        for plan in plans:
+            m = plan[3]
             lr = _linear_decay(config, done + np.arange(m.size), total_updates)
-            epoch_loss += _sgd_pass(params, plan, lr.astype(dtype), (-lr / m).astype(dtype))
+            steps = (-lr / m).astype(dtype)
+            epoch_loss += _sgd_pass(records, losses, plan, lr.astype(dtype), steps)
             done += m.size
         mean_loss = epoch_loss / total_positions
         if not np.isfinite(mean_loss):
@@ -410,7 +435,7 @@ def infer_documents(
             v = np.matmul(nodes, doc)
             v += z_t
             v *= a_t
-            np.exp(np.minimum(v, 60.0, out=v), out=v)  # finite, as in _sigmoid_neg
+            np.exp(np.minimum(v, 60.0, out=v), out=v)  # finite, as in _sigmoid
             v += 1.0
             np.divide(numer_t, v, out=v)
             doc += np.matmul(nodes.transpose(0, 2, 1), v)
@@ -470,7 +495,7 @@ def nearest_words(
 def save_model(model: PvdmModel, path: str) -> None:
     """Serialize to the PVDM binary format (all matrices float32 LE)."""
     vocab = model.vocabulary
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(PVDM_MAGIC)
         write_u32(fh, PVDM_VERSION)
         write_u32(fh, model.dim)
@@ -530,7 +555,7 @@ def load_model(path: str) -> PvdmModel:
 
 def save_embeddings(embeddings: dict[str, np.ndarray], path: str) -> None:
     """Write an id -> embedding sidecar as JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc_id, vec in embeddings.items():
             row = {"id": doc_id, "embedding": np.asarray(vec, np.float64).tolist()}
             fh.write(json.dumps(row) + "\n")

@@ -1,4 +1,7 @@
-"""Builders for tiny hand-made corpora used across the test suite."""
+"""Builders for tiny hand-made corpora used across the test suite, and the
+PV-DM position plan the doc2vec oracles are written against."""
+
+from collections import Counter
 
 import numpy as np
 
@@ -148,3 +151,26 @@ def two_topic_corpus(n_docs=40, words_per_topic=8, tokens_per_doc=20, seed=0, di
             )
         )
     return Corpus(dim, samples)
+
+
+def position_plan(token_idx, window, dtype):
+    """Static per-position context structure for one document.
+
+    Entries are (target, unique context indices, occurrence counts, m) with
+    m the averaging denominator (window size + 1 for the document vector).
+    """
+    plan = []
+    tokens = token_idx.tolist()
+    for t, target in enumerate(tokens):
+        ctx = tokens[max(t - window, 0) : t] + tokens[t + 1 : t + 1 + window]
+        counts = Counter(ctx)
+        uniq = sorted(counts)
+        plan.append(
+            (
+                target,
+                np.array(uniq, dtype=token_idx.dtype),
+                np.array([counts[u] for u in uniq], dtype=dtype),
+                len(ctx) + 1,
+            )
+        )
+    return plan

@@ -14,8 +14,8 @@ from weakbias.corpus import SideLabel, build_vocabulary, vocabulary_from_counts
 from weakbias.doc2vec import (
     PvdmConfig,
     PvdmModel,
+    _document_plans,
     _inference_tables,
-    _position_plan,
     _sigmoid,
     hs_probability,
     infer_document,
@@ -31,8 +31,9 @@ from weakbias.doc2vec import (
 )
 from weakbias.errors import InputError
 from weakbias.seeding import derive_seed
+from weakbias.synthetic import SyntheticSpec, make_synthetic
 
-from helpers import make_corpus, two_topic_corpus
+from helpers import make_corpus, position_plan, two_topic_corpus
 
 
 def tiny_model(word_counts, dim=8, seed=0, zero_nodes=False):
@@ -263,7 +264,7 @@ def reference_train(corpus, config, dtype):
             if row.size == 0:
                 continue
             doc_loss = 0.0
-            for target, uniq, repeats, m in _position_plan(row, config.window, dtype):
+            for target, uniq, repeats, m in position_plan(row, config.window, dtype):
                 if m > 1:
                     words = word_vectors[uniq]
                     context = (doc_row + repeats @ words) / m
@@ -346,6 +347,24 @@ class TestTrainingOracle:
         np.testing.assert_array_equal(model.word_vectors, words)
         np.testing.assert_array_equal(model.node_vectors, nodes)
         np.testing.assert_array_equal(model.doc_vectors, docs)
+        assert model.epoch_losses == losses
+
+
+class TestTrainingAtWorkloadShape:
+    @pytest.mark.parametrize("initial_lr", [0.025, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dim_96_window_2_matches_bit_for_bit(self, dtype, initial_lr):
+        """The benchmark's width and window, which the drawn cases (dim 1-8)
+        never reach: its BLAS kernels, compared byte for byte."""
+        corpus = make_synthetic(SyntheticSpec(n_samples=20, seed=3))
+        assert {len(s.tokens) for s in corpus} == {32}
+        config = PvdmConfig(dim=96, window=2, epochs=2, min_count=2, seed=5, initial_lr=initial_lr)
+        model = train_pvdm(corpus, config, dtype=dtype)
+        words, nodes, docs, losses = reference_train(corpus, config, dtype)
+        for got, expected in zip(
+            (model.word_vectors, model.node_vectors, model.doc_vectors), (words, nodes, docs)
+        ):
+            assert got.tobytes() == expected.tobytes()
         assert model.epoch_losses == losses
 
 
@@ -440,7 +459,7 @@ def reference_infer(model, tokens, steps, seed):
             repeats @ model.word_vectors[uniq] if m > 1 else None,
             m,
         )
-        for (target, uniq, repeats, m) in _position_plan(token_idx, cfg.window, dtype)
+        for (target, uniq, repeats, m) in position_plan(token_idx, cfg.window, dtype)
     ]
     update = 0
     for _ in range(steps):
@@ -517,7 +536,7 @@ class TestInferenceTables:
     @example(case=table_case(9, 8, 1, np.float32, 3, [[8] * 12 + [0, 5]]))
     @settings(max_examples=150, deadline=None)
     def test_tables_match_the_position_plan(self, case):
-        """Paths, signs and m equal _position_plan's exactly. z_window is within
+        """Paths, signs and m equal position_plan's exactly. z_window is within
         1e-6 of the float64 dot products, relative to the sum of their terms'
         magnitudes, and exactly 0 where the path is padded or the window empty."""
         model, docs = case
@@ -528,7 +547,7 @@ class TestInferenceTables:
         assert paths.shape == neg_signs.shape == z_window.shape == (n, depth)
         assert m.shape == (n,) and neg_signs.dtype == z_window.dtype == dtype
         words = model.word_vectors.astype(np.float64)
-        plan = [p for d in docs for p in _position_plan(d, model.config.window, np.float64)]
+        plan = [p for d in docs for p in position_plan(d, model.config.window, np.float64)]
         for j, (target, uniq, counts, m_t) in enumerate(plan):
             path, size = vocab.paths[target], vocab.paths[target].size
             assert m[j] == m_t
@@ -542,6 +561,63 @@ class TestInferenceTables:
             assert np.all(np.abs(z_window[j, :size] - expected) <= bound)
             if m_t == 1:
                 assert np.all(z_window[j] == 0)
+
+
+def document_rows(model, docs):
+    """The documents with an empty one first, as train_pvdm passes them."""
+    return [np.zeros(0, np.int64)] + docs
+
+
+class TestDocumentPlans:
+    @given(case=table_cases())
+    @example(case=table_case(1, 4, 3, np.float32, 1, [[0], [0, 0, 0]]))
+    @example(case=table_case(5, 8, 25, np.float64, 2, [[3], [1, 1, 4, 1, 0, 2]]))
+    @example(case=table_case(9, 8, 1, np.float32, 3, [[8] * 12 + [0, 5]]))
+    @settings(max_examples=150, deadline=None)
+    def test_positions_match_the_position_plan(self, case):
+        """Every position's rows (ids and order), path length, weights,
+        repeats, m and signs equal position_plan's; its loss row and the
+        document's loss order index its path length's rows in position order."""
+        model, docs = case
+        vocab, dtype, dim = model.vocabulary, model.word_vectors.dtype, model.dim
+        n_words = len(vocab)
+        plans, losses = _document_plans(
+            document_rows(model, docs), vocab, model.config.window, dim, dtype
+        )
+        assert len(plans) == len(docs)  # the empty document has none
+        assert [loss.shape[1] for loss in losses] == list(range(len(losses)))
+        shared = {}
+        for i, (doc, (positions, counts, order, m_float)) in enumerate(zip(docs, plans)):
+            doc_row = n_words + vocab.n_inner_nodes + i + 1
+            oracle = position_plan(doc, model.config.window, dtype)
+            assert len(positions) == len(oracle) == len(order) == m_float.size
+            offsets = np.cumsum([0] + counts)
+            seen = [0] * len(counts)
+            for t, (position, (target, uniq, repeats_t, m_t)) in enumerate(zip(positions, oracle)):
+                rows, buffers, weights, repeats, m, neg_signs, j = position
+                n = vocab.paths[target].size
+                expected_rows = np.concatenate([vocab.paths[target] + n_words, uniq, [doc_row]])
+                assert rows.dtype == np.intp
+                np.testing.assert_array_equal(rows, expected_rows)
+                assert buffers[0].shape == (n + uniq.size + 1,)
+                assert buffers[1].shape == (n, dim) and buffers[2].shape == (uniq.size, dim)
+                assert np.shares_memory(buffers[3], buffers[0])  # the document row
+                assert shared.setdefault((n, uniq.size), buffers) is buffers
+                if m_t == 1:
+                    assert weights is None
+                else:
+                    assert weights.dtype == dtype
+                    np.testing.assert_array_equal(weights, repeats_t)
+                if np.all(repeats_t == 1):
+                    assert repeats is None
+                else:
+                    np.testing.assert_array_equal(repeats, repeats_t[:, None])
+                assert m == m_t and m.dtype == dtype and m_float[t] == m_t
+                np.testing.assert_array_equal(neg_signs, 2.0 * vocab.codes[target] - 1.0)
+                assert buffers[-1] is losses[n] and j == seen[n]
+                assert order[t] == offsets[n] + j
+                seen[n] += 1
+            assert seen == counts
 
 
 class TestBatchedInference:
