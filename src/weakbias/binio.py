@@ -4,6 +4,7 @@ atomic write every saved file goes through."""
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from typing import IO, BinaryIO, Iterator
@@ -16,13 +17,31 @@ from .errors import InputError
 @contextmanager
 def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
     """A new file beside `path`, opened for writing (UTF-8 text unless
-    binary), that replaces `path` only once the block ends without an error
-    and is removed if it raises: no write leaves a half-written file."""
+    binary), that is synced to disk and replaces `path` only once the block
+    ends without an error, and is removed if it raises: no write leaves a
+    half-written file. It keeps the mode of the file it replaces. A target
+    that is not a regular file (a symlink, FIFO or device) is written in
+    place, so the link or device stays what it was."""
+    def opened(name: str) -> IO:
+        return open(name, "wb") if binary else open(name, "w", encoding="utf-8")
+
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with opened(path) as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    fh = opened(tmp)
     try:
         with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

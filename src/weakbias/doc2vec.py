@@ -172,7 +172,8 @@ def _linear_decay(config: PvdmConfig, done, total) -> np.ndarray:
 def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim: int,
                     dtype: np.dtype) -> tuple[list[tuple], list[np.ndarray]]:
     """_sgd_pass's plan of each non-empty token-id row, built once, and the loss
-    buffers, one per path length n.
+    buffers, one per path length n, with a row for each position of length n
+    in the document that has the most.
 
     A document is (positions, position count per n, each position's index
     among the loss rows in n order, m as float64). A position is (params rows:
@@ -184,11 +185,13 @@ def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim:
     neg_signs = [2.0 * c.astype(dtype) - 1.0 for c in vocab.codes]
     ones = [np.ones(k, dtype) for k in range(2 * window + 1)]
     m_values = [dtype.type(m) for m in range(2 * window + 2)]
-    losses = [np.empty((max(map(len, rows)), n), dtype) for n in range(depth + 1)]
+    path_lengths = np.array([p.size for p in vocab.paths])
+    peak = np.max([np.bincount(path_lengths[row], minlength=depth + 1) for row in rows], axis=0)
+    losses = [np.empty((count, n), dtype) for n, count in enumerate(peak.tolist())]
     # Positions run one at a time, so every shape's buffers are prefixes of one set.
     block = np.empty(depth + 2 * window + 1, np.dtype((np.void, dim * dtype.itemsize)))
     floats, coef = block.view(dtype).reshape(-1, dim), np.empty((depth, 1), dtype)
-    u, g = np.empty(depth, dtype), np.empty((depth, dim), dtype)
+    g = np.empty((depth, dim), dtype)
     context, delta = np.empty(dim, dtype), np.empty(dim, dtype)
     buffers, repeated, plans = {}, {}, []
     for doc_row, row in enumerate(rows, n_words + vocab.n_inner_nodes):
@@ -203,7 +206,7 @@ def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim:
             if shape not in buffers:
                 view = floats[: n + len(uniq) + 1]
                 buffers[shape] = (block[: n + len(uniq) + 1], view[:n], view[n:-1], view[-1],
-                                  view[n:], u[:n], coef[:n, 0], coef[:n], g[:n], context, delta,
+                                  view[n:], coef[:n, 0], coef[:n], g[:n], context, delta,
                                   losses[n])
             weights, repeats = (ones[len(ctx)] if ctx else None), None
             if len(uniq) < len(ctx):  # a word repeats: the weights are its counts
@@ -237,19 +240,19 @@ def _sgd_pass(records: np.ndarray, losses: list[np.ndarray], plan: tuple, lrs, s
     positions, counts, order, _ = plan
     one, clip = np.array(1.0, lrs.dtype), np.array(60.0, lrs.dtype)  # 0-d: no scalar casts
     for (rows, buffers, weights, repeats, m, neg_signs, j), lr, step in zip(positions, lrs, steps):
-        block, nodes, words, doc, tail, u, coef, coef_col, g, ctx, delta, loss = buffers
+        block, nodes, words, doc, tail, coef, coef_col, g, ctx, delta, loss = buffers
         records.take(rows, out=block, mode="clip")  # in range; "raise" would buffer `out`
         context = doc
         if weights is not None:
             context = np.matmul(weights, words, out=ctx)
             context += doc
             context /= m
-        np.matmul(nodes, context, out=u)
-        u *= neg_signs
-        np.minimum(u, clip, out=u)
-        np.exp(u, out=u)
-        u += one
-        probs = np.divide(one, u, out=loss[j])
+        probs = np.matmul(nodes, context, out=loss[j])  # -s z, then its sigmoid, in place
+        probs *= neg_signs
+        np.minimum(probs, clip, out=probs)
+        np.exp(probs, out=probs)
+        probs += one
+        np.divide(one, probs, out=probs)
         np.subtract(one, probs, out=coef)  # d(-log sigmoid(s z)) / dz, over s
         coef *= neg_signs
         np.matmul(coef, nodes, out=delta)

@@ -2,6 +2,7 @@
 that raises midway leaves the old file whole and no temporary file behind."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -156,3 +157,50 @@ def test_new_files_get_the_default_permissions(tmp_path):
     with atomic_write(str(atomic)) as fh:
         fh.write("x")
     assert atomic.stat().st_mode == plain.stat().st_mode
+
+
+def test_an_existing_file_keeps_its_mode(tmp_path):
+    out = tmp_path / "artifact"
+    out.write_text("old")
+    out.chmod(0o600)
+    with atomic_write(str(out)) as fh:
+        fh.write("new")
+    assert out.read_text() == "new"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+def test_the_file_is_synced_before_it_replaces_the_target(tmp_path, monkeypatch):
+    events, fsync, replace = [], os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: events.append("fsync") or fsync(fd))
+    monkeypatch.setattr(os, "replace", lambda a, b: events.append("replace") or replace(a, b))
+    with atomic_write(str(tmp_path / "artifact")) as fh:
+        fh.write("text")
+    assert events == ["fsync", "replace"]
+
+
+def test_a_symlink_keeps_its_link(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old")
+    link.symlink_to(target)
+    with atomic_write(str(link)) as fh:
+        fh.write("new")
+    assert link.is_symlink() and target.read_text() == "new"
+    assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_fifo_is_written_in_place(writer, tmp_path, monkeypatch):
+    """A FIFO (as /dev/stdout or /dev/fd/N can be) gets the writer's output
+    and stays a FIFO; no temporary file is made beside it."""
+    write = WRITERS[writer][0]
+    fifo = tmp_path / "fifo"
+    write(monkeypatch, str(tmp_path / "regular"), tmp_path)
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open does not block
+    try:
+        write(monkeypatch, str(fifo), tmp_path)
+        assert os.read(reader, 1 << 16) == (tmp_path / "regular").read_bytes()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
