@@ -302,6 +302,16 @@ def build_run_config(
     )
     dump_path = getattr(args, "dump_config", None)
     if dump_path:
+        # A path argument with bytes that are not UTF-8 reaches argv as lone
+        # surrogates: it opens, but the UTF-8 settings file cannot hold it.
+        for name, value in config.paths.items():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InputError(
+                    f"--dump-config {dump_path}: the {name.replace('_', ' ')} path "
+                    f"{value!r} is not valid UTF-8, so the settings file cannot hold it"
+                ) from None
         with atomic_write(dump_path) as fh:
             fh.write(dump_config(config))
     return config

@@ -165,12 +165,12 @@ def _parse_record(obj: dict, feature_dim: int, lineno: int) -> Sample:
             f"sample {sample_id!r}: feature length {got} does not match "
             f"declared feature_dim {feature_dim}"
         )
-    try:
-        vec = np.asarray([float(x) for x in feature], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError(f"sample {sample_id!r}: feature has non-numeric entries") from None
-    with np.errstate(over="ignore"):
-        vec = vec.astype(np.float32)
+    # Every JSON number decodes to a float (_decode); anything else is not one.
+    if not set(map(type, feature)) <= {float}:
+        raise InputError(
+            f"line {lineno}: sample {sample_id!r}: feature has non-numeric entries"
+        )
+    vec = np.array(feature, dtype=np.float32)
     if not np.isfinite(vec).all():
         raise InputError(
             f"line {lineno}: sample {sample_id!r}: feature has NaN or entries "
@@ -182,28 +182,39 @@ def _parse_record(obj: dict, feature_dim: int, lineno: int) -> Sample:
     text = obj["text"]
     if not isinstance(text, str):
         raise InputError(f"sample {sample_id!r}: text must be a string")
+    source = obj["source"]
+    if not isinstance(source, str):
+        raise InputError(f"sample {sample_id!r}: source must be a string")
     return Sample(
         id=sample_id,
         feature=vec,
         tokens=tokenize(text),
         side=SideLabel.parse(obj["side"]),
-        source=str(obj["source"]),
+        source=source,
         topics=frozenset(topics),
         raw_text=text,
     )
 
 
+# Integer literals decode as floats too: "-0" keeps its sign, and an integer
+# too long for int() reads as inf instead of raising.
+_decode = json.JSONDecoder(parse_int=float).decode
+
+
 def load_corpus(path: str) -> Corpus:
     """Read a JSONL corpus: one header line, then one record per line.
 
-    Numbers are parsed at full precision and features stored as float32.
-    Malformed lines, feature-length mismatches, features that are not
-    finite in float32, and duplicate ids raise InputError naming the line
-    or sample.
+    Feature components are JSON numbers, each rounded once to float32. Files
+    written by save_corpus hold 9 significant digits per component, enough
+    to read every float32 back exactly; older files with 17 digits (the
+    float64 repr) load to the same arrays. Malformed lines, feature-length
+    mismatches, components that are not numbers or not finite in float32,
+    and duplicate ids raise InputError naming the line or sample.
     """
     samples: list[Sample] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # Beyond the float32 range becomes inf, rejected in _parse_record.
+    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         first = fh.readline()
         if not first:
             raise InputError("line 1: empty file, expected corpus header")
@@ -212,7 +223,7 @@ def load_corpus(path: str) -> Corpus:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
@@ -226,24 +237,37 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write a corpus back to JSONL in the load_corpus schema."""
+    """Write a corpus back to JSONL in the load_corpus schema.
+
+    Each record is one JSON object with the feature last, its components
+    rounded to float32 and written with 9 significant digits ("%.9g"), the
+    fewest that read back to the same float32 for every value, -0.0,
+    subnormals and the largest finite one included.
+    """
+    dim = corpus.feature_dim
+    feature_format = '"feature": [' + ", ".join(["%.9g"] * dim) + "]}\n"
     with atomic_write(path) as fh:
         header = {
             "format": CORPUS_FORMAT,
             "version": CORPUS_VERSION,
-            "feature_dim": corpus.feature_dim,
+            "feature_dim": dim,
         }
         fh.write(json.dumps(header) + "\n")
         for s in corpus:
+            values = np.asarray(s.feature, dtype=np.float32).tolist()
+            if len(values) != dim:
+                raise InputError(
+                    f"sample {s.id!r}: feature length {len(values)} does not "
+                    f"match declared feature_dim {dim}"
+                )
             record = {
                 "id": s.id,
                 "source": s.source,
                 "side": s.side.value,
                 "topics": sorted(s.topics),
                 "text": s.raw_text,
-                "feature": [float(x) for x in s.feature],
             }
-            fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps(record)[:-1] + ", " + feature_format % tuple(values))
 
 
 @dataclass

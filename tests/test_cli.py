@@ -1,6 +1,7 @@
 """Command-line dispatch, config resolution, exit codes, artifact plumbing."""
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -133,6 +134,19 @@ class TestExitCodes:
             assert run(*argv, *corpus_flag) == EXIT_INPUT
             assert f"got {lr}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_non_utf8_path_in_dump_config_exits_three(self, tmp_path, capsys):
+        """A path byte that is not UTF-8 reaches argv as a lone surrogate; the
+        file opens, but the settings dump cannot hold it. That is an input
+        error naming the path, and no dump is left behind."""
+        corpus = tmp_path / os.fsdecode(b"c\xff.jsonl")
+        save_corpus(make_corpus([("a", "one two", SideLabel.LEFT)]), str(corpus))
+        dump = tmp_path / "d.ini"
+        assert run("vocab", "--corpus", corpus, "--dump-config", dump) == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input: --dump-config")
+        assert "c\\udcff.jsonl'" in err and "\n" not in err
+        assert not dump.exists() and not list(tmp_path.glob("*.tmp"))
 
     def test_error_is_one_json_line_with_json_logs(self, tmp_path, capsys):
         code = run("vocab", "--corpus", tmp_path / "nope.jsonl", "--json-logs")

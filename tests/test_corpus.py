@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weakbias.corpus import (
     ClassWeights,
@@ -22,7 +23,7 @@ from weakbias.corpus import (
 )
 from weakbias.errors import InputError
 
-from helpers import make_corpus
+from helpers import make_corpus, make_sample
 
 
 class TestTokenize:
@@ -176,6 +177,114 @@ class TestLoadCorpus:
         save_corpus(small_corpus, str(p1))
         save_corpus(load_corpus(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "feature, message",
+        [
+            ('[1.0, "1.5", 3.0]', "line 3: sample 'bad': feature has non-numeric entries"),
+            ("[1.0, true, 3.0]", "line 3: sample 'bad': feature has non-numeric entries"),
+            ("[1.0, null, 3.0]", "line 3: sample 'bad': feature has non-numeric entries"),
+            ("[[1.0], 2.0, 3.0]", "line 3: sample 'bad': feature has non-numeric entries"),
+            ("[1.0, " + "9" * 400 + ", 3.0]", "line 3: sample 'bad': feature has NaN or entries outside"),
+            ("[1.0, -" + "9" * 400 + ", 3.0]", "line 3: sample 'bad': feature has NaN or entries outside"),
+            ("[1.0, " + "9" * 5000 + ", 3.0]", "line 3: sample 'bad': feature has NaN or entries outside"),
+            ("[1.0, 1e400, 3.0]", "line 3: sample 'bad': feature has NaN or entries outside"),
+        ],
+        ids=["string", "true", "null", "nested-list", "int-400-digits",
+             "negative-int-400-digits", "int-5000-digits", "1e400"],
+    )
+    def test_bad_features_name_line_and_sample(self, tmp_path, feature, message):
+        """Only JSON numbers are features; an integer too long for int()
+        reads as inf and fails the float32 range check like 1e400 does."""
+        line = self.record("bad", [0.0, 0.0, 0.0]).replace("[0.0, 0.0, 0.0]", feature)
+        path = self.write(tmp_path, [self.header(), self.record("ok", [1, 2, 3]), line])
+        with pytest.raises(InputError, match=message):
+            load_corpus(path)
+
+    def test_numeric_source_rejected(self, tmp_path):
+        line = self.record("bad", [1, 2, 3]).replace('"outlet"', "5")
+        path = self.write(tmp_path, [self.header(), line])
+        with pytest.raises(InputError, match="sample 'bad': source must be a string"):
+            load_corpus(path)
+
+    def test_save_rejects_a_feature_of_the_wrong_length(self, tmp_path):
+        corpus = Corpus(3, [make_sample("short", "a b", SideLabel.LEFT, dim=2)])
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(InputError, match="sample 'short': feature length 2"):
+            save_corpus(corpus, str(path))
+        assert not list(tmp_path.iterdir())
+
+    def test_integral_and_negative_zero_components_are_floats(self, tmp_path):
+        line = self.record("x", [0.0, 0.0, 0.0]).replace("[0.0, 0.0, 0.0]", "[-0, 2, 3]")
+        feature = load_corpus(self.write(tmp_path, [self.header(), line])).sample("x").feature
+        assert feature.dtype == np.float32
+        assert feature.tolist() == [0.0, 2.0, 3.0] and np.signbit(feature[0])
+
+
+_F32 = np.finfo(np.float32)
+_EDGES = [0.0, -0.0, _F32.smallest_subnormal, -_F32.smallest_subnormal,
+          _F32.tiny, -_F32.tiny, _F32.max, -_F32.max, 1.0, -2.0, 16777216.0]
+
+
+def _feature_corpus(rows):
+    rows = np.asarray(rows, dtype=np.float32)
+    samples = [
+        make_sample(f"s{i}", "a few words", SideLabel.LEFT if i % 2 else SideLabel.RIGHT,
+                    topics=("t",), feature=row)
+        for i, row in enumerate(rows)
+    ]
+    return Corpus(rows.shape[1], samples)
+
+
+class TestFeatureRoundTrip:
+    """Features are written with 9 significant digits, which is exact for
+    float32; files with the 17-digit float64 repr load to the same arrays."""
+
+    @given(
+        arrays(
+            np.float32,
+            st.tuples(st.integers(1, 6), st.integers(1, 9)),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False)
+            | st.sampled_from(_EDGES),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_save_then_load_is_bit_exact(self, tmp_path_factory, matrix):
+        path = str(tmp_path_factory.mktemp("rt") / "c.jsonl")
+        save_corpus(_feature_corpus(matrix), path)
+        loaded = load_corpus(path).features()
+        assert np.array_equal(loaded.view(np.uint32), matrix.view(np.uint32))
+
+    def test_parent_format_loads_to_the_same_arrays(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = np.concatenate([
+            np.array([_EDGES], dtype=np.float32),
+            rng.normal(size=(20, len(_EDGES))).astype(np.float32),
+            rng.integers(0, 2**32, size=(200, len(_EDGES)), dtype=np.uint32)
+            .view(np.float32),
+        ])
+        rows = rows[np.isfinite(rows).all(axis=1)]
+        corpus = _feature_corpus(rows)
+        old = tmp_path / "old.jsonl"
+        header = {"format": "weakbias-corpus", "version": 1, "feature_dim": len(_EDGES)}
+        old.write_text("".join(
+            json.dumps(record) + "\n"
+            for record in [header] + [
+                {"id": s.id, "source": s.source, "side": s.side.value,
+                 "topics": sorted(s.topics), "text": s.raw_text,
+                 "feature": [float(x) for x in s.feature]}
+                for s in corpus
+            ]
+        ), encoding="utf-8")
+        new = tmp_path / "new.jsonl"
+        save_corpus(corpus, str(new))
+        from_old, from_new = load_corpus(str(old)), load_corpus(str(new))
+        assert np.array_equal(from_old.features().view(np.uint32), rows.view(np.uint32))
+        assert np.array_equal(from_new.features().view(np.uint32), rows.view(np.uint32))
+        assert [(s.id, s.source, s.side, s.topics, s.raw_text) for s in from_old] == [
+            (s.id, s.source, s.side, s.topics, s.raw_text) for s in from_new
+        ]
+        assert new.stat().st_size < old.stat().st_size
 
 
 class TestVocabulary:
