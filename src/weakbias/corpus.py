@@ -8,6 +8,7 @@ downstream (text embedding, dedup, classifier training) consumes this type.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import random
@@ -47,17 +48,46 @@ class SideLabel(Enum):
             raise InputError(f"side must be 'L' or 'R', got {value!r}") from None
 
 
-@dataclass
+@dataclass(init=False)
 class Sample:
-    """One image/article pair."""
+    """One image/article pair.
+
+    tokens is tokenize(raw_text), derived when first read and then kept, so
+    commands that never read it never tokenize. A tokens list given to the
+    constructor is kept as given; dataclasses.replace without tokens= derives
+    them again from the new raw_text. A sample from load_corpus holds its
+    feature as a row of the file's one float32 block.
+    """
 
     id: str
     feature: np.ndarray
-    tokens: list[str]
     side: SideLabel
     source: str
     topics: frozenset[str]
     raw_text: str
+
+    def __init__(
+        self,
+        id: str,
+        feature: np.ndarray,
+        side: SideLabel,
+        source: str,
+        topics: frozenset[str],
+        raw_text: str,
+        tokens: list[str] | None = None,
+    ) -> None:
+        self.id = id
+        self.feature = feature
+        self.side = side
+        self.source = source
+        self.topics = topics
+        self.raw_text = raw_text
+        if tokens is not None:
+            self.tokens = tokens
+
+    @functools.cached_property
+    def tokens(self) -> list[str]:
+        return tokenize(self.raw_text)
 
 
 @dataclass
@@ -94,6 +124,17 @@ class Corpus:
         if not self.samples:
             return np.zeros((0, self.feature_dim), dtype=np.float32)
         return np.stack([s.feature for s in self.samples]).astype(np.float32, copy=False)
+
+    def finite_features(self) -> np.ndarray:
+        """features(), after an InputError naming the first sample with a
+        component that is not finite in float32."""
+        with np.errstate(over="ignore"):
+            x = self.features()
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            sample_id = self.samples[int(finite.argmin())].id
+            raise InputError(f"sample {sample_id!r}: feature has non-finite entries")
+        return x
 
     def subset(self, ids: Iterable[str]) -> "Corpus":
         """New corpus with the given samples, original order preserved."""
@@ -151,7 +192,11 @@ def _parse_header(line: str) -> int:
     return dim
 
 
-def _parse_record(obj: dict, feature_dim: int, lineno: int) -> Sample:
+def _parse_record(obj: dict, feature_dim: int, lineno: int) -> tuple[Sample, list]:
+    """A record's sample, with feature None, and its checked feature list.
+
+    Whether the feature is finite in float32 is checked by load_corpus once
+    the list is stored in the file's block."""
     for key in ("id", "source", "side", "topics", "text", "feature"):
         if key not in obj:
             raise InputError(f"line {lineno}: record is missing {key!r}")
@@ -162,38 +207,49 @@ def _parse_record(obj: dict, feature_dim: int, lineno: int) -> Sample:
     if not isinstance(feature, list) or len(feature) != feature_dim:
         got = len(feature) if isinstance(feature, list) else type(feature).__name__
         raise InputError(
-            f"sample {sample_id!r}: feature length {got} does not match "
-            f"declared feature_dim {feature_dim}"
+            f"line {lineno}: sample {sample_id!r}: feature length {got} does not "
+            f"match declared feature_dim {feature_dim}"
         )
     # Every JSON number decodes to a float (_decode); anything else is not one.
     if not set(map(type, feature)) <= {float}:
         raise InputError(
             f"line {lineno}: sample {sample_id!r}: feature has non-numeric entries"
         )
-    vec = np.array(feature, dtype=np.float32)
-    if not np.isfinite(vec).all():
-        raise InputError(
-            f"line {lineno}: sample {sample_id!r}: feature has NaN or entries "
-            "outside the float32 range"
-        )
     topics = obj["topics"]
     if not isinstance(topics, list) or not all(isinstance(t, str) for t in topics):
-        raise InputError(f"sample {sample_id!r}: topics must be a list of strings")
+        raise InputError(
+            f"line {lineno}: sample {sample_id!r}: topics must be a list of strings"
+        )
     text = obj["text"]
     if not isinstance(text, str):
-        raise InputError(f"sample {sample_id!r}: text must be a string")
+        raise InputError(f"line {lineno}: sample {sample_id!r}: text must be a string")
     source = obj["source"]
     if not isinstance(source, str):
-        raise InputError(f"sample {sample_id!r}: source must be a string")
-    return Sample(
+        raise InputError(f"line {lineno}: sample {sample_id!r}: source must be a string")
+    try:
+        side = SideLabel.parse(obj["side"])
+    except InputError as exc:
+        raise InputError(f"line {lineno}: sample {sample_id!r}: {exc}") from None
+    sample = Sample(
         id=sample_id,
-        feature=vec,
-        tokens=tokenize(text),
-        side=SideLabel.parse(obj["side"]),
+        feature=None,
+        side=side,
         source=source,
         topics=frozenset(topics),
         raw_text=text,
     )
+    return sample, feature
+
+
+def _check_finite(block: np.ndarray, samples: list[Sample], linenos: list[int]) -> None:
+    """Raise for the first row of block, in file order, that is not finite."""
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise InputError(
+            f"line {linenos[i]}: sample {samples[i].id!r}: feature has NaN or "
+            "entries outside the float32 range"
+        ) from None
 
 
 # Integer literals decode as floats too: "-0" keeps its sign, and an integer
@@ -204,35 +260,56 @@ _decode = json.JSONDecoder(parse_int=float).decode
 def load_corpus(path: str) -> Corpus:
     """Read a JSONL corpus: one header line, then one record per line.
 
-    Feature components are JSON numbers, each rounded once to float32. Files
-    written by save_corpus hold 9 significant digits per component, enough
-    to read every float32 back exactly; older files with 17 digits (the
-    float64 repr) load to the same arrays. Malformed lines, feature-length
-    mismatches, components that are not numbers or not finite in float32,
-    and duplicate ids raise InputError naming the line or sample.
+    Feature components are JSON numbers, each rounded once to float32 into
+    one (n, dim) block for the file, and each sample's feature is its row of
+    that block. Files written by save_corpus hold 9 significant digits per
+    component, enough to read every float32 back exactly; older files with
+    17 digits (the float64 repr) load to the same arrays. Malformed lines,
+    feature-length mismatches, components that are not numbers or not
+    finite in float32, and duplicate ids raise InputError naming the line
+    and, once the id is known, the sample; of several bad lines the first
+    is named. Texts are not tokenized here: Sample.tokens is derived on
+    first use.
     """
     samples: list[Sample] = []
+    linenos: list[int] = []
     seen: set[str] = set()
-    # Beyond the float32 range becomes inf, rejected in _parse_record.
+    # Beyond the float32 range becomes inf, rejected by _check_finite.
     with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         first = fh.readline()
         if not first:
             raise InputError("line 1: empty file, expected corpus header")
         feature_dim = _parse_header(first)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = _decode(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise InputError(f"line {lineno}: record must be a JSON object")
-            sample = _parse_record(obj, feature_dim, lineno)
-            if sample.id in seen:
-                raise InputError(f"line {lineno}: duplicate sample id {sample.id!r}")
-            seen.add(sample.id)
-            samples.append(sample)
+        # Grows by doubling; no row view exists until it is trimmed below.
+        block = np.empty((64, feature_dim), dtype=np.float32)
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    obj = _decode(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise InputError(f"line {lineno}: record must be a JSON object")
+                sample, feature = _parse_record(obj, feature_dim, lineno)
+                if sample.id in seen:
+                    raise InputError(f"line {lineno}: duplicate sample id {sample.id!r}")
+                n = len(samples)
+                if n == len(block):
+                    block.resize((2 * n, feature_dim), refcheck=False)
+                block[n] = feature
+                seen.add(sample.id)
+                samples.append(sample)
+                linenos.append(lineno)
+        except InputError:
+            # A non-finite feature on an earlier line is the first fault.
+            _check_finite(block[: len(samples)], samples, linenos)
+            raise
+    block.resize((len(samples), feature_dim), refcheck=False)
+    _check_finite(block, samples, linenos)
+    for sample, row in zip(samples, block):
+        sample.feature = row
     return Corpus(feature_dim, samples)
 
 
@@ -242,9 +319,18 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     Each record is one JSON object with the feature last, its components
     rounded to float32 and written with 9 significant digits ("%.9g"), the
     fewest that read back to the same float32 for every value, -0.0,
-    subnormals and the largest finite one included.
+    subnormals and the largest finite one included. A feature of the wrong
+    length or with a component that is not finite in float32 raises
+    InputError naming the sample before the file is opened.
     """
     dim = corpus.feature_dim
+    for s in corpus:
+        if np.shape(s.feature) != (dim,):
+            raise InputError(
+                f"sample {s.id!r}: feature length {len(s.feature)} does not "
+                f"match declared feature_dim {dim}"
+            )
+    features = corpus.finite_features()
     feature_format = '"feature": [' + ", ".join(["%.9g"] * dim) + "]}\n"
     with atomic_write(path) as fh:
         header = {
@@ -253,13 +339,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
             "feature_dim": dim,
         }
         fh.write(json.dumps(header) + "\n")
-        for s in corpus:
-            values = np.asarray(s.feature, dtype=np.float32).tolist()
-            if len(values) != dim:
-                raise InputError(
-                    f"sample {s.id!r}: feature length {len(values)} does not "
-                    f"match declared feature_dim {dim}"
-                )
+        for s, row in zip(corpus, features):
             record = {
                 "id": s.id,
                 "source": s.source,
@@ -267,7 +347,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
                 "topics": sorted(s.topics),
                 "text": s.raw_text,
             }
-            fh.write(json.dumps(record)[:-1] + ", " + feature_format % tuple(values))
+            fh.write(json.dumps(record)[:-1] + ", " + feature_format % tuple(row.tolist()))
 
 
 @dataclass

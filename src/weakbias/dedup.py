@@ -26,15 +26,6 @@ from .errors import InputError
 _BLOCK = 64
 
 
-def _finite_features(corpus: Corpus) -> np.ndarray:
-    x = corpus.features()
-    bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
-        sample_id = corpus.samples[int(np.argmax(bad))].id
-        raise InputError(f"sample {sample_id!r}: feature has non-finite entries")
-    return x
-
-
 def _kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Working rows, their squared norms and the expanded form's error bound.
 
@@ -164,7 +155,7 @@ def cluster_duplicates(corpus: Corpus, threshold: float) -> list[DuplicateCluste
     if n == 0:
         return []
     uf = _UnionFind(n)
-    for i, j in _radius_pairs(_finite_features(corpus), threshold):
+    for i, j in _radius_pairs(corpus.finite_features(), threshold):
         uf.union(i, j)
     groups: dict[int, list[str]] = {}
     for i, sid in enumerate(corpus.ids()):
@@ -237,7 +228,7 @@ def knn_distance_histogram(
         raise InputError("need at least two samples for a distance histogram")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    x = _finite_features(corpus)
+    x = corpus.finite_features()
     rng = np.random.default_rng(seed)
     if n > sample_size:
         queries = rng.choice(n, size=sample_size, replace=False)

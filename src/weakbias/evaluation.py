@@ -15,7 +15,7 @@ import io
 import json
 import warnings
 
-from .corpus import Corpus, SideLabel, tokenize, truncate_sentences
+from .corpus import Corpus, SideLabel, truncate_sentences
 from .errors import InputError
 
 
@@ -131,9 +131,7 @@ def _truncate_corpus(corpus: Corpus, k: int) -> Corpus:
     samples = []
     for sample in corpus:
         clipped = truncate_sentences(sample.raw_text, k)
-        samples.append(
-            dataclasses.replace(sample, raw_text=clipped, tokens=tokenize(clipped))
-        )
+        samples.append(dataclasses.replace(sample, raw_text=clipped))
     return Corpus(corpus.feature_dim, samples)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sample, SideLabel, tokenize
+from .corpus import Corpus, Sample, SideLabel
 from .errors import UsageError
 from .seeding import derive_seed
 
@@ -123,7 +123,6 @@ def make_synthetic(spec: SyntheticSpec) -> Corpus:
             Sample(
                 id=f"s{i:05d}",
                 feature=feature,
-                tokens=tokenize(raw_text),
                 side=side,
                 source=source,
                 topics=frozenset({f"topic{topic}"}),

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 
-from weakbias.corpus import Corpus, Sample, SideLabel, tokenize
+from weakbias.corpus import Corpus, Sample, SideLabel
 
 
 def make_sample(sample_id, text, side, source="src", topics=(), feature=None, dim=4):
@@ -16,7 +16,6 @@ def make_sample(sample_id, text, side, source="src", topics=(), feature=None, di
     return Sample(
         id=sample_id,
         feature=vec,
-        tokens=tokenize(text),
         side=side,
         source=source,
         topics=frozenset(topics),

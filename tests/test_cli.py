@@ -457,6 +457,29 @@ class TestWordHeadCommands:
         assert len(ids) == 4 and all(i in corpus for i in ids)
 
 
+class TestTokensOnFirstUse:
+    def test_commands_without_text_never_tokenize(self, workspace, tmp_path, monkeypatch, capsys):
+        """dedup, the classifier stages and eval read no text, so loading
+        their corpus must not tokenize it; vocab, which does, is the control."""
+        calls = []
+        monkeypatch.setattr("weakbias.corpus.tokenize", lambda text: calls.append(text) or [])
+        corpus = workspace / "corpus.jsonl"
+        assert run("dedup", "--corpus", corpus, "--threshold", "0.5",
+                   "--out", tmp_path / "d.jsonl", "--report", tmp_path / "r.jsonl",
+                   "--seed", 5) == 0
+        assert run("train-stage1", "--corpus", corpus, "--embeddings", workspace / "emb.bin",
+                   "--model-out", tmp_path / "s1.ckpt", "--epochs", 1,
+                   "--hidden", 16, "--fused", 8, "--seed", 5) == 0
+        assert run("train-stage2", "--corpus", corpus, "--model", tmp_path / "s1.ckpt",
+                   "--model-out", tmp_path / "s2.ckpt", "--epochs", 1, "--seed", 5) == 0
+        assert run("eval", "--corpus", corpus, "--model", workspace / "s2.ckpt") == 0
+        assert run("eval", "--corpus", corpus, "--model", workspace / "s1.ckpt",
+                   "--stage1", "--embeddings", workspace / "emb.bin") == 0
+        assert calls == []
+        assert run("vocab", "--corpus", corpus) == EXIT_INPUT  # every text tokenizes to []
+        assert len(calls) == 200
+
+
 class TestEval:
     def test_json_report_with_top_k(self, workspace, capsys):
         assert run("eval", "--corpus", workspace / "corpus.jsonl",

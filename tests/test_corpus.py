@@ -1,5 +1,6 @@
 """Corpus layer: tokenization, loading, vocabulary, weights, splits."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -125,8 +126,54 @@ class TestLoadCorpus:
 
     def test_feature_length_mismatch_names_sample(self, tmp_path):
         path = self.write(tmp_path, [self.header(), self.record("bad1", [1.0, 2.0])])
-        with pytest.raises(InputError, match="bad1"):
+        with pytest.raises(InputError, match="^line 2: sample 'bad1': feature length 2"):
             load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("topics", "guns", "topics must be a list of strings"),
+            ("topics", ["guns", 3], "topics must be a list of strings"),
+            ("text", ["a"], "text must be a string"),
+            ("source", 5, "source must be a string"),
+            ("side", "C", "side must be 'L' or 'R'"),
+            ("feature", 1.0, "feature length float does not match"),
+        ],
+    )
+    def test_record_errors_name_line_and_sample(self, tmp_path, key, value, message):
+        record = json.loads(self.record("bad", [1.0, 2.0, 3.0]))
+        record[key] = value
+        path = self.write(
+            tmp_path,
+            [self.header(), self.record("ok", [1, 2, 3]), "", json.dumps(record)],
+        )
+        with pytest.raises(InputError, match=f"^line 4: sample 'bad': {message}"):
+            load_corpus(path)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        """A non-finite feature is found once per file, yet a structural
+        error on a later line does not hide it."""
+        lines = [
+            self.header(),
+            self.record("a", [1, 2, 3]),
+            self.record("b", [1.0, float("nan"), 3.0]),
+            self.record("c", [1, 2, 3]),
+            self.record("a", [1, 2, 3]),
+        ]
+        with pytest.raises(InputError, match="^line 3: sample 'b': feature has NaN"):
+            load_corpus(self.write(tmp_path, lines))
+        with pytest.raises(InputError, match="^line 3: sample 'b': feature has NaN"):
+            load_corpus(self.write(tmp_path, lines[:4] + ["{not json"]))
+        with pytest.raises(InputError, match="^line 4: duplicate sample id 'a'"):
+            load_corpus(self.write(tmp_path, lines[:2] + lines[3:]))
+
+    def test_features_are_rows_of_one_block(self, tmp_path):
+        records = [self.record(f"x{i}", [i, -i, 0.5]) for i in range(200)]
+        corpus = load_corpus(self.write(tmp_path, [self.header()] + records))
+        block = corpus[0].feature.base
+        assert block.shape == (200, 3) and block.dtype == np.float32
+        assert all(s.feature.base is block for s in corpus)
+        assert np.array_equal(block, [[i, -i, 0.5] for i in range(200)])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39])
     def test_non_finite_feature_names_line_and_sample(self, tmp_path, bad):
@@ -207,6 +254,24 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match="sample 'bad': source must be a string"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39])
+    def test_save_rejects_a_non_finite_feature(self, tmp_path, bad):
+        """Nothing is written: neither a new file nor over an old one."""
+        corpus = Corpus(3, [
+            make_sample("ok", "a b", SideLabel.LEFT, feature=[1.0, 2.0, 3.0], dim=3),
+            make_sample("nan1", "a b", SideLabel.RIGHT, feature=[1.0, 2.0, 3.0], dim=3),
+        ])
+        corpus[1].feature = np.array([1.0, bad, 3.0])
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(InputError, match="sample 'nan1': feature has non-finite"):
+            save_corpus(corpus, str(path))
+        assert not list(tmp_path.iterdir())
+        path.write_text("old", encoding="utf-8")
+        with pytest.raises(InputError, match="sample 'nan1'"):
+            save_corpus(corpus, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+        assert path.read_text(encoding="utf-8") == "old"
+
     def test_save_rejects_a_feature_of_the_wrong_length(self, tmp_path):
         corpus = Corpus(3, [make_sample("short", "a b", SideLabel.LEFT, dim=2)])
         path = tmp_path / "c.jsonl"
@@ -285,6 +350,51 @@ class TestFeatureRoundTrip:
             (s.id, s.source, s.side, s.topics, s.raw_text) for s in from_new
         ]
         assert new.stat().st_size < old.stat().st_size
+
+
+_TEXTS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)) | st.sampled_from("#_.,!?'-# \n"),
+    max_size=60,
+)
+
+
+class TestLazyTokens:
+    """Loading does not tokenize; Sample.tokens is derived on first use."""
+
+    @given(st.lists(_TEXTS, min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_loaded_tokens_are_tokenized_text(self, tmp_path_factory, texts):
+        corpus = Corpus(2, [
+            make_sample(f"s{i}", text, SideLabel.LEFT, dim=2) for i, text in enumerate(texts)
+        ])
+        path = str(tmp_path_factory.mktemp("tok") / "c.jsonl")
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+        assert [s.raw_text for s in loaded] == texts
+        assert not any("tokens" in vars(s) for s in loaded)
+        assert [s.tokens for s in loaded] == [tokenize(t) for t in texts]
+
+    def test_tokens_are_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "weakbias.corpus.tokenize", lambda text: calls.append(text) or text.split()
+        )
+        sample = make_sample("a", "one two", SideLabel.LEFT)
+        assert calls == []
+        assert sample.tokens == ["one", "two"]
+        assert sample.tokens is sample.tokens
+        assert calls == ["one two"]
+
+    def test_replace_with_and_without_tokens(self):
+        sample = make_sample("a", "Old text here.", SideLabel.LEFT)
+        assert sample.tokens == ["old", "text", "here"]
+        given_tokens = ["kept", "as", "given"]
+        kept = dataclasses.replace(sample, raw_text="New #Text!", tokens=given_tokens)
+        assert kept.tokens is given_tokens
+        fresh = dataclasses.replace(sample, raw_text="New #Text!")
+        assert fresh.tokens == ["new", "#text"]
+        assert dataclasses.replace(sample, id="b").tokens == sample.tokens
+        assert sample.tokens == ["old", "text", "here"]
 
 
 class TestVocabulary:
