@@ -8,11 +8,13 @@ then [run] seed, then the WEAKBIAS_SEED environment variable, then 0)
 through stable named sub-seeds, so rerunning one stage never perturbs
 another.
 
-The [pvdm] and [train] flags are generated from the fields of PvdmConfig
-and TrainSettings, and each flag sets exactly one key: --epochs is [pvdm]
-epochs on train-text and [train] epochs on train-stage1, train-stage2 and
-train-words, while the pipeline commands (truncation-sweep, loso) spell the
-PV-DM one --pvdm-epochs.
+The [pvdm] and [train] keys are the fields of PvdmConfig and the scalar
+fields of PipelineConfig. Their flags are generated from those fields, and
+each flag sets exactly one key: --epochs is [pvdm] epochs on train-text and
+[train] stage1_epochs, stage2_epochs or words_epochs on train-stage1,
+train-stage2 or train-words, while the pipeline commands (truncation-sweep,
+loso) spell the PV-DM one --pvdm-epochs. A command resolves, validates and
+dumps only the sections it has flags for.
 
 Progress goes to stderr (JSON lines with --json-logs), results to stdout
 or the requested output file. Exit codes: 0 success, 2 usage, 3 input,
@@ -102,34 +104,20 @@ _BOOL_WORDS = {
 }
 
 
-@dataclasses.dataclass
-class TrainSettings:
-    """Classifier-stage knobs shared by the train-* and sweep subcommands."""
-
-    epochs: int = 10
-    stage1_epochs: int = 10
-    stage2_epochs: int = 10
-    lr: float = 1e-4
-    batch_size: int = 64
-    hidden: int = 256
-    fused: int = 256
-    class_weights: bool = True
-
-
-_SECTION_TYPES = {"pvdm": PvdmConfig, "train": TrainSettings}
+_SECTION_TYPES = {"pvdm": PvdmConfig, "train": PipelineConfig}
 
 
 @dataclasses.dataclass
 class RunConfig:
     """Effective settings for one invocation.
 
-    Input paths are checked for existence when the config is built; the
-    seed inside pvdm is already the named "text" sub-seed of the root."""
+    Input paths are checked for existence when the config is built.
+    `sections` are the [pvdm] and [train] sections the command reads; the
+    others keep their defaults in `pipeline`, whose seed is the root seed."""
 
     paths: dict[str, str]
-    pvdm: PvdmConfig
-    train: TrainSettings
-    seed: int
+    pipeline: PipelineConfig
+    sections: tuple[str, ...]
 
 
 class Progress:
@@ -215,23 +203,28 @@ def _coerce(kind, raw, where: str):
 
 def _section_fields(section_name: str) -> dict[str, dataclasses.Field]:
     """The settable fields of a [pvdm] or [train] section by lowercase key;
-    seeds never come from sections."""
-    cls = _SECTION_TYPES[section_name]
-    return {f.name.lower(): f for f in dataclasses.fields(cls) if f.name != "seed"}
+    seeds never come from sections, and [pvdm] is a section of its own."""
+    fields = dataclasses.fields(_SECTION_TYPES[section_name])
+    return {f.name.lower(): f for f in fields if f.name not in ("pvdm", "seed")}
 
 
-def _resolved(args, file_cfg: dict, section_name: str) -> dict:
+def _resolved(args, file_cfg: dict, section_name: str) -> dict | None:
     """Field values of a section: its own flag, then file key, then default.
 
     A flag's destination is "<section>.<field>", so a flag sets exactly one
-    key. INI keys are case-insensitive."""
+    key, and a command reads a section only if its parser declares one of
+    these destinations; otherwise this returns None, after refusing unknown
+    keys as for every command. INI keys are case-insensitive."""
     section = {str(k).lower(): v for k, v in file_cfg.get(section_name, {}).items()}
     known = _section_fields(section_name)
     unknown = set(section) - set(known)
     if unknown:
-        raise UsageError(
-            f"unknown keys in [{section_name}]: {', '.join(sorted(unknown))}"
-        )
+        names = ", ".join(sorted(unknown))
+        if section_name == "train" and "epochs" in unknown:
+            names += "; epochs is now stage1_epochs, stage2_epochs and words_epochs"
+        raise UsageError(f"unknown keys in [{section_name}]: {names}")
+    if not any(name.startswith(f"{section_name}.") for name in vars(args)):
+        return None
     values = {}
     for lowered, f in known.items():
         value = getattr(args, f"{section_name}.{f.name}", None)
@@ -292,13 +285,15 @@ def build_run_config(
             value = _require_input(value, name.replace("_", " "))
         if value is not None:
             paths[name] = value
+    resolved = {name: _resolved(args, file_cfg, name) for name in _SECTION_TYPES}
     config = RunConfig(
         paths=paths,
-        pvdm=PvdmConfig(
-            **_resolved(args, file_cfg, "pvdm"), seed=derive_seed(seed, "text")
+        pipeline=PipelineConfig(
+            pvdm=PvdmConfig(**resolved["pvdm"] or {}),
+            **resolved["train"] or {},
+            seed=seed,
         ),
-        train=TrainSettings(**_resolved(args, file_cfg, "train")),
-        seed=seed,
+        sections=tuple(name for name, values in resolved.items() if values is not None),
     )
     dump_path = getattr(args, "dump_config", None)
     if dump_path:
@@ -322,12 +317,13 @@ def dump_config(config: RunConfig) -> str:
     parser = configparser.ConfigParser()
     if config.paths:
         parser["paths"] = {k: config.paths[k] for k in sorted(config.paths)}
-    for section_name, instance in (("pvdm", config.pvdm), ("train", config.train)):
+    for section_name in config.sections:
+        instance = config.pipeline.pvdm if section_name == "pvdm" else config.pipeline
         parser[section_name] = {
             f.name: str(getattr(instance, f.name))
             for f in _section_fields(section_name).values()
         }
-    parser["run"] = {"seed": str(config.seed)}
+    parser["run"] = {"seed": str(config.pipeline.seed)}
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -346,25 +342,6 @@ def _write_result(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _pipeline_config(config: RunConfig) -> PipelineConfig:
-    return PipelineConfig(
-        pvdm=config.pvdm,
-        stage1_epochs=config.train.stage1_epochs,
-        stage2_epochs=config.train.stage2_epochs,
-        lr=config.train.lr,
-        batch_size=config.train.batch_size,
-        hidden=config.train.hidden,
-        fused=config.train.fused,
-        use_class_weights=config.train.class_weights,
-        seed=config.seed,
-    )
-
-
-def _train_spec(config: RunConfig, stage: str, corpus=None):
-    """A train-* subcommand's stage settings; [train] epochs sets its epochs."""
-    return _pipeline_config(config).stage_spec(stage, config.train.epochs, corpus)
-
-
 def _read_words(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         words = [line.strip() for line in fh if line.strip()]
@@ -379,10 +356,11 @@ def _read_words(path: str) -> list[str]:
 def _cmd_vocab(args, progress: Progress) -> int:
     config = build_run_config(args, inputs=("corpus",), optional=("out",))
     corpus = load_corpus(config.paths["corpus"])
-    vocab = build_vocabulary(corpus, config.pvdm.min_count)
-    progress.event("vocabulary", size=len(vocab), min_count=config.pvdm.min_count)
+    min_count = config.pipeline.pvdm.min_count
+    vocab = build_vocabulary(corpus, min_count)
+    progress.event("vocabulary", size=len(vocab), min_count=min_count)
     payload = {
-        "min_count": config.pvdm.min_count,
+        "min_count": min_count,
         "size": len(vocab),
         "counts": dict(zip(vocab.words, vocab.counts)),
     }
@@ -397,7 +375,7 @@ def _cmd_train_text(args, progress: Progress) -> int:
     corpus = load_corpus(config.paths["corpus"])
     model = train_pvdm(
         corpus,
-        config.pvdm,
+        config.pipeline.text_config(),
         on_epoch=progress.epoch_hook("pvdm"),
     )
     save_model(model, config.paths["model_out"])
@@ -427,7 +405,9 @@ def _cmd_infer_text(args, progress: Progress) -> int:
         model,
         [sample.tokens for sample in corpus],
         steps=args.steps if args.steps is not None else 50,
-        seeds=[derive_seed(config.seed, f"infer-{sample.id}") for sample in corpus],
+        seeds=[
+            derive_seed(config.pipeline.seed, f"infer-{sample.id}") for sample in corpus
+        ],
     )
     vectors = {
         sample.id: vector if args.raw else normalize_embedding(vector)
@@ -448,7 +428,7 @@ def _cmd_nearest_words(args, progress: Progress) -> int:
         tokenize(args.query),
         n=args.n if args.n is not None else 10,
         steps=args.steps if args.steps is not None else 50,
-        seed=derive_seed(config.seed, "query"),
+        seed=derive_seed(config.pipeline.seed, "query"),
         embed=args.embed,
     )
     lines = [f"{word}\t{similarity:.6f}" for word, similarity in neighbors]
@@ -465,7 +445,7 @@ def _cmd_dedup(args, progress: Progress) -> int:
             k=args.k,
             sample_size=args.sample_size,
             bins=args.bins,
-            seed=derive_seed(config.seed, "histogram"),
+            seed=derive_seed(config.pipeline.seed, "histogram"),
         )
         lines = [
             f"{edges[i]:.6f}\t{edges[i + 1]:.6f}\t{int(count)}"
@@ -502,9 +482,9 @@ def _cmd_train_stage1(args, progress: Progress) -> int:
     model = train_stage1(
         corpus,
         embeddings,
-        _train_spec(config, "stage1", corpus),
-        hidden=config.train.hidden,
-        fused=config.train.fused,
+        config.pipeline.stage_spec("stage1", corpus),
+        hidden=config.pipeline.hidden,
+        fused=config.pipeline.fused,
     )
     progress.history("stage1", model.history["stage1"])
     save_checkpoint(model, config.paths["model_out"])
@@ -516,7 +496,7 @@ def _cmd_train_stage2(args, progress: Progress) -> int:
     config = build_run_config(args, inputs=("corpus", "model"), outputs=("model_out",))
     corpus = load_corpus(config.paths["corpus"])
     model = load_checkpoint(config.paths["model"])
-    model = train_stage2(model, corpus, _train_spec(config, "stage2", corpus))
+    model = train_stage2(model, corpus, config.pipeline.stage_spec("stage2", corpus))
     progress.history("stage2", model.history["stage2"])
     save_checkpoint(model, config.paths["model_out"])
     progress.event("saved", model=config.paths["model_out"])
@@ -539,8 +519,8 @@ def _cmd_truncation_sweep(args, progress: Progress) -> int:
         train,
         test,
         args.ks,
-        make_pipeline(_pipeline_config(config)),
-        seed=config.seed,
+        make_pipeline(config.pipeline),
+        seed=config.pipeline.seed,
     )
     payload = {str(k): acc for k, acc in results.items()}
     _write_result(config.paths.get("out"), json.dumps(payload, indent=2))
@@ -555,8 +535,8 @@ def _cmd_loso(args, progress: Progress) -> int:
         train,
         test,
         args.source,
-        make_pipeline(_pipeline_config(config)),
-        seed=config.seed,
+        make_pipeline(config.pipeline),
+        seed=config.pipeline.seed,
     )
     payload = {
         "source": args.source,
@@ -592,7 +572,7 @@ def _cmd_train_words(args, progress: Progress) -> int:
         corpus,
         embeddings,
         _read_words(config.paths["words"]),
-        _train_spec(config, "words"),
+        config.pipeline.stage_spec("words", None),
     )
     progress.history("words", model.history["words"])
     save_checkpoint(model, config.paths["model_out"])
@@ -643,7 +623,7 @@ def _cmd_eval(args, progress: Progress) -> int:
             "model": config.paths["model"],
             "group_by": args.group_by,
             "stage": 1 if args.stage1 else 2,
-            "seed": config.seed,
+            "seed": config.pipeline.seed,
         },
     )
     if args.top_k is not None:
@@ -664,7 +644,7 @@ def _cmd_make_synthetic(args, progress: Progress) -> int:
         for f in dataclasses.fields(SyntheticSpec)
         if f.name != "seed" and getattr(args, f.name, None) is not None
     }
-    spec = SyntheticSpec(seed=config.seed, **fields)
+    spec = SyntheticSpec(seed=config.pipeline.seed, **fields)
     corpus = make_synthetic(spec)
     save_corpus(corpus, config.paths["out"])
     progress.event("saved", corpus=config.paths["out"], samples=len(corpus))
@@ -757,7 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--embeddings")
     p.add_argument("--model-out", dest="model_out")
-    _section_flags(p, "train", "epochs lr batch_size hidden fused class_weights")
+    _section_flags(p, "train", "stage1_epochs lr batch_size hidden fused class_weights",
+                   stage1_epochs="epochs")
     p.set_defaults(func=_cmd_train_stage1)
 
     p = sub.add_parser("train-stage2", parents=[common],
@@ -765,7 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--model")
     p.add_argument("--model-out", dest="model_out")
-    _section_flags(p, "train", "epochs lr batch_size class_weights")
+    _section_flags(p, "train", "stage2_epochs lr batch_size class_weights",
+                   stage2_epochs="epochs")
     p.set_defaults(func=_cmd_train_stage2)
 
     p = sub.add_parser("ablate", parents=[common],
@@ -808,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--words", help="word list, one per line")
     p.add_argument("--model-out", dest="model_out")
-    _section_flags(p, "train", "epochs lr batch_size")
+    _section_flags(p, "train", "words_epochs lr batch_size", words_epochs="epochs")
     p.set_defaults(func=_cmd_train_words)
 
     p = sub.add_parser("rank-images", parents=[common],

@@ -182,6 +182,8 @@ def _parse_header(line: str) -> int:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise InputError(f"line 1: header is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("line 1: header JSON is nested too deeply") from None
     if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
         raise InputError(f"line 1: not a {CORPUS_FORMAT} header")
     if header.get("version") != CORPUS_VERSION:
@@ -268,44 +270,55 @@ def load_corpus(path: str) -> Corpus:
     feature-length mismatches, components that are not numbers or not
     finite in float32, and duplicate ids raise InputError naming the line
     and, once the id is known, the sample; of several bad lines the first
-    is named. Texts are not tokenized here: Sample.tokens is derived on
-    first use.
+    is named. JSON nested too deeply to decode names its line, and bytes
+    that are not UTF-8 name the file. Texts are not tokenized here:
+    Sample.tokens is derived on first use.
     """
     samples: list[Sample] = []
     linenos: list[int] = []
     seen: set[str] = set()
     # Beyond the float32 range becomes inf, rejected by _check_finite.
-    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
-        first = fh.readline()
-        if not first:
-            raise InputError("line 1: empty file, expected corpus header")
-        feature_dim = _parse_header(first)
-        # Grows by doubling; no row view exists until it is trimmed below.
-        block = np.empty((64, feature_dim), dtype=np.float32)
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    obj = _decode(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise InputError(f"line {lineno}: record must be a JSON object")
-                sample, feature = _parse_record(obj, feature_dim, lineno)
-                if sample.id in seen:
-                    raise InputError(f"line {lineno}: duplicate sample id {sample.id!r}")
-                n = len(samples)
-                if n == len(block):
-                    block.resize((2 * n, feature_dim), refcheck=False)
-                block[n] = feature
-                seen.add(sample.id)
-                samples.append(sample)
-                linenos.append(lineno)
-        except InputError:
-            # A non-finite feature on an earlier line is the first fault.
-            _check_finite(block[: len(samples)], samples, linenos)
-            raise
+    try:
+        with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
+            first = fh.readline()
+            if not first:
+                raise InputError("line 1: empty file, expected corpus header")
+            feature_dim = _parse_header(first)
+            # Grows by doubling; no row view exists until it is trimmed below.
+            block = np.empty((64, feature_dim), dtype=np.float32)
+            try:
+                for lineno, line in enumerate(fh, start=2):
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = _decode(line)
+                    except json.JSONDecodeError as exc:
+                        raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
+                    except RecursionError:
+                        raise InputError(f"line {lineno}: JSON nested too deeply") from None
+                    if not isinstance(obj, dict):
+                        raise InputError(f"line {lineno}: record must be a JSON object")
+                    sample, feature = _parse_record(obj, feature_dim, lineno)
+                    if sample.id in seen:
+                        raise InputError(
+                            f"line {lineno}: duplicate sample id {sample.id!r}"
+                        )
+                    n = len(samples)
+                    if n == len(block):
+                        block.resize((2 * n, feature_dim), refcheck=False)
+                    block[n] = feature
+                    seen.add(sample.id)
+                    samples.append(sample)
+                    linenos.append(lineno)
+            except (InputError, UnicodeDecodeError):
+                # A non-finite feature on an earlier line is the first fault.
+                _check_finite(block[: len(samples)], samples, linenos)
+                raise
+    except UnicodeDecodeError as exc:
+        # The text reader decodes a buffer at a time, so no line is known.
+        raise InputError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+        ) from None
     block.resize((len(samples), feature_dim), refcheck=False)
     _check_finite(block, samples, linenos)
     for sample, row in zip(samples, block):

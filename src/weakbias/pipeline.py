@@ -19,30 +19,40 @@ from .seeding import derive_seed
 
 @dataclasses.dataclass
 class PipelineConfig:
+    """Settings of a pipeline run. The scalar fields between pvdm and seed
+    are the CLI's [train] keys: one epochs key per classifier head, and the
+    shared lr, batch size, layer widths and class-weight switch."""
+
     pvdm: PvdmConfig
-    stage1_epochs: int
-    stage2_epochs: int
+    stage1_epochs: int = 10
+    stage2_epochs: int = 10
+    words_epochs: int = 10
     lr: float = 1e-4
     batch_size: int = 64
     hidden: int = 256
     fused: int = 256
-    use_class_weights: bool = True
+    class_weights: bool = True
     seed: int = 0
 
-    def stage_spec(self, stage: str, epochs: int, corpus: Corpus | None) -> TrainSpec:
-        """Settings of one classifier stage: its epochs, the shared lr and
-        batch size, the class weights of `corpus` when they are on (none
-        without a corpus), and the stage's named sub-seed of the root."""
+    def stage_spec(self, stage: str, corpus: Corpus | None) -> TrainSpec:
+        """Settings of one classifier stage ("stage1", "stage2" or "words"):
+        its <stage>_epochs, the shared lr and batch size, the class weights
+        of `corpus` when they are on (none without a corpus), and the
+        stage's named sub-seed of the root."""
         weights = None
-        if corpus is not None and self.use_class_weights:
+        if corpus is not None and self.class_weights:
             weights = class_weights(corpus)
         return TrainSpec(
-            epochs=epochs,
+            epochs=getattr(self, f"{stage}_epochs"),
             lr=self.lr,
             batch_size=self.batch_size,
             class_weights=weights,
             seed=derive_seed(self.seed, stage),
         )
+
+    def text_config(self) -> PvdmConfig:
+        """The PV-DM settings with the root's named "text" sub-seed."""
+        return dataclasses.replace(self.pvdm, seed=derive_seed(self.seed, "text"))
 
 
 @dataclasses.dataclass
@@ -78,12 +88,9 @@ def run_pipeline(train: Corpus, test: Corpus, config: PipelineConfig) -> Pipelin
     a sub-seed of the root, as are both training stages. Both stages'
     settings are checked before any training starts.
     """
-    stage1_spec = config.stage_spec("stage1", config.stage1_epochs, train)
-    stage2_spec = config.stage_spec("stage2", config.stage2_epochs, train)
-    pvdm_config = dataclasses.replace(
-        config.pvdm, seed=derive_seed(config.seed, "text")
-    )
-    text_model = train_pvdm(train, pvdm_config)
+    stage1_spec = config.stage_spec("stage1", train)
+    stage2_spec = config.stage_spec("stage2", train)
+    text_model = train_pvdm(train, config.text_config())
     embeddings = {
         doc_id: normalize_embedding(vector)
         for doc_id, vector in training_embeddings(text_model).items()

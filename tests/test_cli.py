@@ -1,5 +1,6 @@
 """Command-line dispatch, config resolution, exit codes, artifact plumbing."""
 
+import dataclasses
 import json
 import os
 import warnings
@@ -7,19 +8,24 @@ import warnings
 import numpy as np
 import pytest
 
-from weakbias.classifier import forward_stage1, load_checkpoint
+from weakbias.classifier import (
+    forward_stage1,
+    load_checkpoint,
+    save_checkpoint,
+    train_stage1,
+)
 from weakbias.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_USAGE,
-    TrainSettings,
     build_parser,
     main,
     parse_config_text,
 )
 from weakbias.corpus import SideLabel, load_corpus, save_corpus
 from weakbias.doc2vec import PvdmConfig, load_embeddings, load_model
-from weakbias.errors import UsageError
+from weakbias.errors import NumericError, UsageError
+from weakbias.pipeline import PipelineConfig
 
 from helpers import make_corpus
 
@@ -214,15 +220,15 @@ class TestConfigResolution:
 
     def test_dump_round_trips(self, workspace, tmp_path, capsys):
         """The dumped effective config, fed back in, dumps byte-identically;
-        --epochs sets the epochs of its own command's section only."""
+        --epochs sets the epochs of its own command's section only, and a
+        section the command has no flag for is not dumped."""
         corpus = workspace / "corpus.jsonl"
-        pvdm_default, train_default = PvdmConfig().epochs, TrainSettings().epochs
         for argv, epochs in (
             (["vocab", "--min-count", 3], None),
             (["train-stage2", "--model", workspace / "s1.ckpt", "--epochs", 3,
-              "--model-out", tmp_path / "s2.ckpt"], (pvdm_default, 3)),
+              "--model-out", tmp_path / "s2.ckpt"], (None, 3)),
             (["train-text", "--model-out", tmp_path / "t.pv", "--epochs", 3,
-              "--dim", 4, "--window", 1, "--min-count", 1], (3, train_default)),
+              "--dim", 4, "--window", 1, "--min-count", 1], (3, None)),
         ):
             first = tmp_path / f"{argv[0]}-first.ini"
             second = tmp_path / f"{argv[0]}-second.ini"
@@ -232,9 +238,93 @@ class TestConfigResolution:
             assert first.read_bytes() == second.read_bytes()
             if epochs is not None:
                 sections = parse_config_text(first.read_text())
-                dumped = (sections["pvdm"]["epochs"], sections["train"]["epochs"])
-                assert dumped == tuple(str(n) for n in epochs)
+                dumped = (sections.get("pvdm", {}).get("epochs"),
+                          sections.get("train", {}).get("stage2_epochs"))
+                assert dumped == tuple(None if n is None else str(n) for n in epochs)
         capsys.readouterr()
+
+    def test_train_keys_are_the_pipeline_fields(self, workspace, tmp_path, capsys):
+        """[train] is PipelineConfig's scalar fields: one epochs key per head."""
+        dump = tmp_path / "s1.ini"
+        assert run("train-stage1", "--corpus", workspace / "corpus.jsonl",
+                   "--embeddings", workspace / "emb.bin", "--epochs", 0,
+                   "--model-out", tmp_path / "s1.ckpt", "--dump-config", dump) == 0
+        keys = list(parse_config_text(dump.read_text())["train"])
+        assert keys == [f.name for f in dataclasses.fields(PipelineConfig)][1:-1]
+        assert keys == ["stage1_epochs", "stage2_epochs", "words_epochs", "lr",
+                        "batch_size", "hidden", "fused", "class_weights"]
+        capsys.readouterr()
+
+    def test_old_epochs_key_exits_two_naming_its_replacements(
+        self, workspace, tmp_path, capsys
+    ):
+        """[train] epochs is refused, not translated, by every command."""
+        config = tmp_path / "old.ini"
+        config.write_text("[train]\nepochs = 3\n")
+        for argv in (
+            ["train-stage1", "--embeddings", workspace / "emb.bin",
+             "--model-out", tmp_path / "s1.ckpt"],
+            ["eval", "--model", workspace / "s2.ckpt"],
+        ):
+            code = run(*argv, "--corpus", workspace / "corpus.jsonl",
+                       "--config", config)
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "unknown keys in [train]: epochs" in err
+            for key in ("stage1_epochs", "stage2_epochs", "words_epochs"):
+                assert key in err
+        assert not (tmp_path / "s1.ckpt").exists()
+
+    def test_stage_commands_and_sweeps_read_one_epochs_key(
+        self, workspace, split_corpora, tmp_path, capsys, monkeypatch
+    ):
+        """One config file trains stage 1 for the same epochs under
+        train-stage1 and truncation-sweep: both read [train] stage1_epochs."""
+        seen = []
+
+        def record(corpus, embeddings, spec, **kwargs):
+            seen.append(spec.epochs)
+            raise NumericError("stop after recording the spec")
+
+        monkeypatch.setattr("weakbias.cli.train_stage1", record)
+        monkeypatch.setattr("weakbias.pipeline.train_stage1", record)
+        config = tmp_path / "run.ini"
+        config.write_text("[train]\nstage1_epochs = 3\n")
+        assert run("train-stage1", "--corpus", workspace / "corpus.jsonl",
+                   "--embeddings", workspace / "emb.bin", "--config", config,
+                   "--model-out", tmp_path / "s1.ckpt") == EXIT_NUMERIC
+        assert run("truncation-sweep", "--train", split_corpora / "tr.jsonl",
+                   "--test", split_corpora / "te.jsonl", "--ks", "1",
+                   "--config", config, "--dim", 4, "--window", 1,
+                   "--pvdm-epochs", 1, "--min-count", 1) == EXIT_NUMERIC
+        assert seen == [3, 3]
+        capsys.readouterr()
+
+    def test_sections_a_command_has_no_flag_for_are_not_validated(
+        self, workspace, tmp_path, capsys
+    ):
+        """A bad [pvdm] value stops only the commands that read [pvdm];
+        unknown keys still stop every command."""
+        corpus = workspace / "corpus.jsonl"
+        config = tmp_path / "bad.ini"
+        config.write_text("[pvdm]\nwindow = 0\n[train]\nlr = fast\n")
+        dump = tmp_path / "eval.ini"
+        assert run("select-words", "--corpus", corpus, "--keep", 3,
+                   "--config", config) == 0
+        assert run("eval", "--corpus", corpus, "--model", workspace / "s2.ckpt",
+                   "--config", config, "--dump-config", dump) == 0
+        assert set(parse_config_text(dump.read_text())) == {"paths", "run"}
+        capsys.readouterr()
+        assert run("train-text", "--corpus", corpus, "--config", config,
+                   "--model-out", tmp_path / "t.pv") == EXIT_INPUT
+        assert "window must be >= 1, got 0" in capsys.readouterr().err
+        assert run("train-stage2", "--corpus", corpus, "--config", config,
+                   "--model", workspace / "s1.ckpt",
+                   "--model-out", tmp_path / "s2.ckpt") == EXIT_USAGE
+        assert "bad value 'fast' for [train] lr" in capsys.readouterr().err
+        config.write_text("[pvdm]\nwindow = 2\nbogus = 1\n")
+        assert run("select-words", "--corpus", corpus, "--config", config) == EXIT_USAGE
+        assert "unknown keys in [pvdm]: bogus" in capsys.readouterr().err
 
     def test_seed_precedence(self, workspace, tmp_path, capsys, monkeypatch):
         """Flag beats config; config beats WEAKBIAS_SEED; env beats the 0
@@ -400,6 +490,23 @@ class TestArtifacts:
         stage2 = load_checkpoint(str(workspace / "s2.ckpt"))
         assert stage2.head2 is not None
 
+    def test_train_stage1_matches_the_library_call(self, workspace, tmp_path, capsys):
+        """train-stage1 --epochs 2 trains exactly what stage_spec gives."""
+        out, expected = tmp_path / "cli.ckpt", tmp_path / "lib.ckpt"
+        assert run("train-stage1", "--corpus", workspace / "corpus.jsonl",
+                   "--embeddings", workspace / "emb.bin", "--model-out", out,
+                   "--epochs", 2, "--lr", "1e-3", "--hidden", 16, "--fused", 8,
+                   "--seed", 5) == 0
+        corpus = load_corpus(str(workspace / "corpus.jsonl"))
+        cfg = PipelineConfig(pvdm=PvdmConfig(), stage1_epochs=2, lr=1e-3,
+                             hidden=16, fused=8, seed=5)
+        model = train_stage1(
+            corpus, load_embeddings(str(workspace / "emb.bin")),
+            cfg.stage_spec("stage1", corpus), hidden=cfg.hidden, fused=cfg.fused,
+        )
+        save_checkpoint(model, str(expected))
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_same_seed_gives_identical_checkpoints(self, workspace, tmp_path, capsys):
         """The root seed fully determines a training run."""
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -478,6 +585,22 @@ class TestTokensOnFirstUse:
         assert calls == []
         assert run("vocab", "--corpus", corpus) == EXIT_INPUT  # every text tokenizes to []
         assert len(calls) == 200
+
+
+class TestUndecodableCorpus:
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"[" * 100_000 + b"]" * 100_000 + b"\n"],
+                             ids=["non-utf8", "deep-nesting"])
+    def test_exits_three(self, workspace, tmp_path, capsys, tail):
+        """A byte that is not UTF-8 or JSON nested beyond the decoder's depth
+        is an input error, not a traceback."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes((workspace / "corpus.jsonl").read_bytes() + tail)
+        code = run("dedup", "--corpus", corpus, "--threshold", "1",
+                   "--out", tmp_path / "d.jsonl")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input:") and "\n" not in err
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 class TestEval:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,42 @@ class TestLazyTokens:
         assert fresh.tokens == ["new", "#text"]
         assert dataclasses.replace(sample, id="b").tokens == sample.tokens
         assert sample.tokens == ["old", "text", "here"]
+
+
+class TestUndecodableInput:
+    """A corpus that is not UTF-8 text, or whose JSON nests deeper than the
+    decoder recurses, is refused with an InputError, never another error."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([b"\xff", b"\xfe", b"\xc0", b"\x80", b"\xc3", b"\xed\xa0\x80"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_non_utf8_byte_anywhere_is_an_input_error(
+        self, tmp_path_factory, offset, bad
+    ):
+        path = tmp_path_factory.mktemp("utf8") / "c.jsonl"
+        save_corpus(make_corpus([
+            ("a", "caf\u00e9 one", SideLabel.LEFT), ("b", "two \u2014 three", SideLabel.RIGHT),
+        ]), str(path))
+        # Multi-byte characters as raw UTF-8, so a byte can land inside one.
+        data = path.read_text().replace("\\u00e9", "\u00e9").replace("\\u2014", "\u2014")
+        data = data.encode("utf-8")
+        offset %= len(data) + 1
+        path.write_bytes(data[:offset] + bad + data[offset:])
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_corpus(str(path))
+
+    def test_deep_nesting_names_the_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(make_corpus([("a", "one", SideLabel.LEFT)]), str(path))
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text(path.read_text() + deep + "\n")
+        with pytest.raises(InputError, match="^line 3: JSON nested too deeply"):
+            load_corpus(str(path))
+        path.write_text(deep + "\n")
+        with pytest.raises(InputError, match="^line 1: header JSON is nested too deeply"):
+            load_corpus(str(path))
 
 
 class TestVocabulary:

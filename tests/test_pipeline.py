@@ -75,7 +75,7 @@ class TestRunPipeline:
     def test_class_weights_can_be_disabled(self):
         train, test = small_benchmark()
         result = run_pipeline(
-            train, test, small_config(use_class_weights=False)
+            train, test, small_config(class_weights=False)
         )
         assert len(result.predictions) == len(test)
 
