@@ -53,6 +53,7 @@ from .corpus import (
     build_vocabulary,
     load_corpus,
     save_corpus,
+    save_corpus_lines,
     tokenize,
 )
 from .dedup import (
@@ -70,7 +71,7 @@ from .doc2vec import (
     save_model,
     train_pvdm,
 )
-from .errors import InputError, NumericError, UsageError
+from .errors import InputError, NumericError, UsageError, not_utf8
 from .evaluation import (
     group_accuracy,
     leave_one_source_out,
@@ -161,12 +162,14 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     """Sections from an INI document, or a JSON object of sections.
 
     A section other than [paths], [pvdm], [train] and [run] raises
-    UsageError."""
+    UsageError, and JSON nested too deeply to decode an InputError."""
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InputError("config JSON is nested too deeply") from None
         if not isinstance(obj, dict) or not all(
             isinstance(body, dict) for body in obj.values()
         ):
@@ -176,9 +179,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         parser = configparser.ConfigParser()
         try:
             parser.read_string(text)
+            # items() expands %(name)s references, and can fail doing so.
+            sections = {name: dict(parser.items(name)) for name in parser.sections()}
         except configparser.Error as exc:
             raise UsageError(f"bad config file: {exc}") from None
-        sections = {name: dict(parser.items(name)) for name in parser.sections()}
     unknown = sorted(set(sections) - set(_SECTIONS))
     if unknown:
         raise UsageError(
@@ -274,7 +278,11 @@ def build_run_config(
     config_path = getattr(args, "config", None)
     if config_path:
         with open(_require_input(config_path, "config file"), encoding="utf-8") as fh:
-            file_cfg = parse_config_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise not_utf8(config_path, exc) from None
+        file_cfg = parse_config_text(text)
     seed = resolve_seed(args, file_cfg)
     paths: dict[str, str] = {}
     for name in (*inputs, *outputs, *optional):
@@ -437,6 +445,12 @@ def _cmd_nearest_words(args, progress: Progress) -> int:
 
 
 def _cmd_dedup(args, progress: Progress) -> int:
+    """Print the k-NN distance histogram, or write the corpus without its
+    duplicates and, with --report, the clusters.
+
+    The input is read once, and each kept record is written as the line it
+    was read from, under the canonical header: dedup filters records, it
+    does not re-encode them."""
     if args.histogram:
         config = build_run_config(args, inputs=("corpus",), optional=("out",))
         corpus = load_corpus(config.paths["corpus"])
@@ -458,9 +472,11 @@ def _cmd_dedup(args, progress: Progress) -> int:
     )
     if args.threshold is None:
         raise UsageError("--threshold is required (or use --histogram to pick one)")
-    corpus = load_corpus(config.paths["corpus"])
+    lines: list[str] = []
+    corpus = load_corpus(config.paths["corpus"], lines=lines)
     kept, clusters = deduplicate(corpus, args.threshold)
-    save_corpus(kept, config.paths["out"])
+    line_of = dict(zip(corpus.ids(), lines))
+    save_corpus_lines(config.paths["out"], kept.feature_dim, [line_of[s.id] for s in kept])
     report_path = config.paths.get("report")
     if report_path:
         save_cluster_report(clusters, report_path, corpus)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .binio import atomic_write
-from .errors import InputError
+from .errors import InputError, not_utf8
 
 CORPUS_FORMAT = "weakbias-corpus"
 CORPUS_VERSION = 1
@@ -259,7 +259,7 @@ def _check_finite(block: np.ndarray, samples: list[Sample], linenos: list[int]) 
 _decode = json.JSONDecoder(parse_int=float).decode
 
 
-def load_corpus(path: str) -> Corpus:
+def load_corpus(path: str, *, lines: list[str] | None = None) -> Corpus:
     """Read a JSONL corpus: one header line, then one record per line.
 
     Feature components are JSON numbers, each rounded once to float32 into
@@ -273,6 +273,10 @@ def load_corpus(path: str) -> Corpus:
     is named. JSON nested too deeply to decode names its line, and bytes
     that are not UTF-8 name the file. Texts are not tokenized here:
     Sample.tokens is derived on first use.
+
+    Given a list as lines, each record line is appended to it as read, in
+    sample order, blank lines left out; a last line without a newline gets
+    one. save_corpus_lines writes such lines back as a corpus file.
     """
     samples: list[Sample] = []
     linenos: list[int] = []
@@ -310,20 +314,28 @@ def load_corpus(path: str) -> Corpus:
                     seen.add(sample.id)
                     samples.append(sample)
                     linenos.append(lineno)
+                    if lines is not None:
+                        lines.append(line if line.endswith("\n") else line + "\n")
             except (InputError, UnicodeDecodeError):
                 # A non-finite feature on an earlier line is the first fault.
                 _check_finite(block[: len(samples)], samples, linenos)
                 raise
     except UnicodeDecodeError as exc:
-        # The text reader decodes a buffer at a time, so no line is known.
-        raise InputError(
-            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-        ) from None
+        raise not_utf8(path, exc) from None
     block.resize((len(samples), feature_dim), refcheck=False)
     _check_finite(block, samples, linenos)
     for sample, row in zip(samples, block):
         sample.feature = row
     return Corpus(feature_dim, samples)
+
+
+def _header_line(feature_dim: int) -> str:
+    header = {
+        "format": CORPUS_FORMAT,
+        "version": CORPUS_VERSION,
+        "feature_dim": feature_dim,
+    }
+    return json.dumps(header) + "\n"
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
@@ -346,12 +358,7 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     features = corpus.finite_features()
     feature_format = '"feature": [' + ", ".join(["%.9g"] * dim) + "]}\n"
     with atomic_write(path) as fh:
-        header = {
-            "format": CORPUS_FORMAT,
-            "version": CORPUS_VERSION,
-            "feature_dim": dim,
-        }
-        fh.write(json.dumps(header) + "\n")
+        fh.write(_header_line(dim))
         for s, row in zip(corpus, features):
             record = {
                 "id": s.id,
@@ -361,6 +368,18 @@ def save_corpus(corpus: Corpus, path: str) -> None:
                 "text": s.raw_text,
             }
             fh.write(json.dumps(record)[:-1] + ", " + feature_format % tuple(row.tolist()))
+
+
+def save_corpus_lines(path: str, feature_dim: int, lines: Iterable[str]) -> None:
+    """Write a corpus file from record lines that load_corpus collected: the
+    header save_corpus writes, then each line unchanged, so a filter such as
+    dedup passes records through without re-encoding them. Lines that
+    save_corpus wrote come out as the same bytes; others keep their own
+    spelling (17-digit or integer features, extra keys, unsorted topics) and
+    load to the same samples."""
+    with atomic_write(path) as fh:
+        fh.write(_header_line(feature_dim))
+        fh.writelines(lines)
 
 
 @dataclass

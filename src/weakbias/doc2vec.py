@@ -44,7 +44,7 @@ from .binio import (
     write_u64,
 )
 from .corpus import Corpus, Vocabulary, build_vocabulary, vocabulary_from_counts
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, not_utf8
 from .seeding import derive_seed
 
 PVDM_MAGIC = b"PVDM"
@@ -565,6 +565,19 @@ def save_embeddings(embeddings: dict[str, np.ndarray], path: str) -> None:
 
 
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
+    """Read an embeddings sidecar: one {"id", "embedding"} object per line.
+
+    Malformed lines, duplicate ids and values that are not numbers or not
+    finite in float32 raise InputError naming the line; JSON nested too
+    deeply to decode names its line, and bytes that are not UTF-8 name the
+    file."""
+    try:
+        return _read_embeddings(path)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+
+
+def _read_embeddings(path: str) -> dict[str, np.ndarray]:
     embeddings: dict[str, np.ndarray] = {}
     decode = json.JSONDecoder(parse_int=float).decode  # a huge integer reads as inf
     # Beyond float32 range becomes inf, rejected below with NaN and infinities.
@@ -576,6 +589,8 @@ def load_embeddings(path: str) -> dict[str, np.ndarray]:
                 row = decode(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
+            except RecursionError:
+                raise InputError(f"line {lineno}: JSON nested too deeply") from None
             if not isinstance(row, dict) or not isinstance(row.get("id"), str):
                 raise InputError(f"line {lineno}: embedding row needs a string id")
             if "embedding" not in row:

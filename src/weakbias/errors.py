@@ -15,3 +15,11 @@ class InputError(WeakBiasError):
 
 class NumericError(WeakBiasError):
     """Training or inference produced non-finite values."""
+
+
+def not_utf8(path: str, exc: UnicodeDecodeError) -> InputError:
+    """The error for a text file holding a byte that is not UTF-8. A text
+    reader decodes a buffer at a time, so it names the file, not a line."""
+    return InputError(
+        f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+    )

@@ -176,6 +176,13 @@ class TestConfigResolution:
         with pytest.raises(UsageError, match="JSON"):
             parse_config_text('{"pvdm": [1, 2]}')
 
+    def test_bad_interpolation_rejected(self):
+        """configparser expands %(name)s when a section's items are read."""
+        with pytest.raises(UsageError, match="bad config file"):
+            parse_config_text("[train]\nlr = %(missing)s\n")
+        with pytest.raises(UsageError, match="bad config file"):
+            parse_config_text("[train]\nlr = 5%\n")
+
     def test_config_file_applies(self, workspace, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text(
@@ -601,6 +608,39 @@ class TestUndecodableCorpus:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: input:") and "\n" not in err
         assert not (tmp_path / "d.jsonl").exists()
+
+
+class TestUndecodableEmbeddingsAndConfig:
+    """The embeddings sidecar and the config file fail as the corpus does:
+    exit 3 with one input error line, never a traceback."""
+
+    @pytest.mark.parametrize("tail, message", [
+        (b"\xff", "emb.jsonl: not UTF-8 text: byte 0xff"),
+        (b"[" * 100_000 + b"\n", "line 201: JSON nested too deeply"),
+    ], ids=["non-utf8", "deep-nesting"])
+    def test_embeddings_exit_three(self, workspace, tmp_path, capsys, tail, message):
+        embeddings = tmp_path / "emb.jsonl"
+        embeddings.write_bytes((workspace / "emb.bin").read_bytes() + tail)
+        code = run("eval", "--corpus", workspace / "corpus.jsonl",
+                   "--model", workspace / "s1.ckpt", "--stage1", "--embeddings", embeddings)
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input:") and "\n" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("body, message", [
+        (b"[run]\nseed = \xff\n", "run.ini: not UTF-8 text: byte 0xff"),
+        (b'{"run": ' + b"[" * 100_000 + b"}", "config JSON is nested too deeply"),
+    ], ids=["non-utf8", "deep-nesting"])
+    def test_config_exits_three(self, workspace, tmp_path, capsys, body, message):
+        config = tmp_path / "run.ini"
+        config.write_bytes(body)
+        code = run("eval", "--config", config, "--corpus", workspace / "corpus.jsonl",
+                   "--model", workspace / "s2.ckpt")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input:") and "\n" not in err
+        assert message in err
 
 
 class TestEval:

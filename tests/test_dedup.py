@@ -1,6 +1,8 @@
 """Exact radius join, duplicate clustering and the distance histogram."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import feature_corpus, planted_duplicate_corpus
-from weakbias.corpus import SideLabel
+from weakbias.cli import EXIT_INPUT, main
+from weakbias.corpus import SideLabel, load_corpus, save_corpus
 from weakbias.dedup import (
     DuplicateCluster,
     _knn_distances,
@@ -318,3 +321,144 @@ class TestHistogram:
     def test_rejects_k_below_one(self):
         with pytest.raises(InputError, match="k must be"):
             knn_distance_histogram(feature_corpus(np.zeros((2, 4))), k=0)
+
+
+def run_dedup(corpus, out, report=None, threshold=0.5):
+    argv = ["dedup", "--corpus", corpus, "--threshold", threshold, "--out", out]
+    if report is not None:
+        argv += ["--report", report]
+    return main([str(a) for a in argv])
+
+
+def assert_same_samples(got, expected):
+    """Every field equal and every feature bit-equal, in the same order."""
+    assert got.feature_dim == expected.feature_dim
+    assert got.ids() == expected.ids()
+    for a, b in zip(got, expected):
+        assert (a.side, a.source, a.topics, a.raw_text) == (b.side, b.source, b.topics, b.raw_text)
+        assert a.feature.tobytes() == b.feature.tobytes()
+
+
+# Spellings of one JSON number that load_corpus reads; save_corpus writes
+# only the third.
+_SPELLINGS = [
+    repr,
+    lambda v: "%.17g" % v,
+    lambda v: "%.9g" % np.float32(v),
+    lambda v: str(int(v)) if v.is_integer() else repr(v),
+    lambda v: "%.3E" % v,
+]
+_VALUES = [0.0, -0.0, 1.0, 0.1, 1 / 3, -2.5, 1e-40, 16777217.0]
+
+
+@st.composite
+def hand_written_corpus(draw):
+    """A corpus file as another tool could write it: features in any number
+    spelling, keys in any order, extra keys, duplicate or unsorted topics,
+    raw or escaped non-ASCII text, blank lines, LF, CRLF or CR endings, and
+    maybe no final newline. Features come from a few rows, so some records
+    are duplicates of others."""
+    dim = 2
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(_VALUES)] * dim), min_size=1, max_size=4))
+    header = draw(st.sampled_from([
+        {"format": "weakbias-corpus", "version": 1, "feature_dim": dim},
+        {"feature_dim": dim, "note": [1, {"a": None}], "version": 1, "format": "weakbias-corpus"},
+    ]))
+    lines = [json.dumps(header)]
+    for i in range(draw(st.integers(1, 8))):
+        row = draw(st.sampled_from(rows))
+        spell = [draw(st.sampled_from(_SPELLINGS)) for _ in row]
+        ascii_only = draw(st.booleans())
+        fields = {
+            "id": json.dumps(f"s{i}"),
+            "source": json.dumps(draw(st.sampled_from(["l0", "r0", "wire"]))),
+            "side": json.dumps(draw(st.sampled_from(["L", "R"]))),
+            "topics": json.dumps(draw(st.lists(st.sampled_from(["b", "a", "c"]), max_size=4))),
+            "text": json.dumps(draw(st.text(max_size=8)), ensure_ascii=ascii_only),
+            "feature": "[" + ", ".join(f(v) for f, v in zip(spell, row)) + "]",
+        }
+        if draw(st.booleans()):
+            fields["extra"] = '{"k": [true, null, 1e400]}'
+        keys = draw(st.permutations(list(fields)))
+        sep = draw(st.sampled_from([": ", ":"]))
+        lines.append("{" + ", ".join(json.dumps(k) + sep + fields[k] for k in keys) + "}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    endings = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class TestDedupCommandOutput:
+    """weakbias dedup writes each kept record as the line it was read from."""
+
+    @given(hand_written_corpus())
+    @settings(max_examples=100, deadline=None)
+    def test_output_loads_as_the_deduplicated_input(self, tmp_path_factory, text):
+        root = tmp_path_factory.mktemp("dedup")
+        src, out = root / "in.jsonl", root / "out.jsonl"
+        src.write_bytes(text.encode("utf-8"))
+        corpus = load_corpus(str(src))
+        kept, clusters = deduplicate(corpus, 0.5)
+        save_cluster_report(clusters, str(root / "expected.jsonl"), corpus)
+        assert run_dedup(src, out, root / "report.jsonl") == 0
+        assert_same_samples(load_corpus(str(out)), kept)
+        assert (root / "report.jsonl").read_bytes() == (root / "expected.jsonl").read_bytes()
+        # Kept records as read, each ended by "\n", under the canonical header.
+        # A text-mode reader ends lines at LF, CRLF and CR only, not at the
+        # other breaks str.splitlines knows, such as U+0085 in a raw text.
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        records = [line for line in lines[1:] if line.strip()]
+        line_of = {json.loads(line)["id"]: line for line in records}
+        header = {"format": "weakbias-corpus", "version": 1, "feature_dim": 2}
+        expected = [json.dumps(header)] + [line_of[sid] for sid in kept.ids()]
+        assert out.read_bytes() == "".join(line + "\n" for line in expected).encode("utf-8")
+
+    def test_a_save_corpus_file_gives_save_corpus_bytes(self, tmp_path):
+        corpus, _ = planted_duplicate_corpus(
+            n_groups=4, group_size=3, n_singletons=20, dim=16, seed=9
+        )
+        src, out, expected = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "e.jsonl"
+        save_corpus(corpus, str(src))
+        kept, _ = deduplicate(load_corpus(str(src)), 1.0)
+        assert len(kept) == len(corpus) - 4 * 2
+        save_corpus(kept, str(expected))
+        assert run_dedup(src, out, threshold=1.0) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_its_input_once_from_a_fifo(self, tmp_path):
+        corpus, _ = planted_duplicate_corpus(
+            n_groups=2, group_size=2, n_singletons=10, dim=8, seed=3
+        )
+        src, fifo, out = tmp_path / "in.jsonl", tmp_path / "in.fifo", tmp_path / "out.jsonl"
+        save_corpus(corpus, str(src))
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_bytes(src.read_bytes()), daemon=True
+        )
+        writer.start()
+        assert run_dedup(fifo, out, tmp_path / "report.jsonl", threshold=1.0) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert_same_samples(load_corpus(str(out)), deduplicate(load_corpus(str(src)), 1.0)[0])
+
+    @pytest.mark.parametrize("bad", [
+        '{"id": "g000m0", "source": "s", "side": "L", "topics": [], "text": "", '
+        '"feature": [0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"id": "new", "source": "s", "side": "L", "topics": [], "text": "", '
+        '"feature": [0, 0, 0, 0, 0, 0, 0, 1e39]}',
+        '{"id": "new", "source": "s", "side": "L", "topics": [], "text": ""',
+    ], ids=["duplicate-id", "non-finite", "truncated"])
+    def test_a_bad_last_record_exits_three_and_writes_nothing(self, tmp_path, capsys, bad):
+        corpus, _ = planted_duplicate_corpus(
+            n_groups=2, group_size=2, n_singletons=10, dim=8, seed=3
+        )
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        save_corpus(corpus, str(src))
+        src.write_text(src.read_text() + bad)
+        assert run_dedup(src, out, tmp_path / "report.jsonl") == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: input: line {len(corpus) + 2}:") and "\n" not in err
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl"]
