@@ -126,15 +126,12 @@ class Corpus:
         return np.stack([s.feature for s in self.samples]).astype(np.float32, copy=False)
 
     def finite_features(self) -> np.ndarray:
-        """features(), after an InputError naming the first sample with a
-        component that is not finite in float32."""
-        with np.errstate(over="ignore"):
-            x = self.features()
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
-            sample_id = self.samples[int(finite.argmin())].id
-            raise InputError(f"sample {sample_id!r}: feature has non-finite entries")
-        return x
+        """features(), after an InputError naming the first sample whose
+        feature is not feature_dim long or not finite in float32."""
+        return float_block(
+            self.ids(), [s.feature for s in self.samples], "sample {!r}: feature",
+            self.feature_dim,
+        )
 
     def subset(self, ids: Iterable[str]) -> "Corpus":
         """New corpus with the given samples, original order preserved."""
@@ -178,6 +175,8 @@ def truncate_sentences(raw_text: str, k: int) -> str:
 
 
 def _parse_header(line: str) -> int:
+    if not line:
+        raise InputError("line 1: empty file, expected corpus header")
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -189,34 +188,22 @@ def _parse_header(line: str) -> int:
     if header.get("version") != CORPUS_VERSION:
         raise InputError(f"line 1: unsupported version {header.get('version')!r}")
     dim = header.get("feature_dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # JSON true is an int to isinstance
         raise InputError(f"line 1: feature_dim must be a positive integer, got {dim!r}")
     return dim
 
 
-def _parse_record(obj: dict, feature_dim: int, lineno: int) -> tuple[Sample, list]:
-    """A record's sample, with feature None, and its checked feature list.
-
-    Whether the feature is finite in float32 is checked by load_corpus once
-    the list is stored in the file's block."""
+def _parse_record(obj, lineno: int) -> tuple[str, object, Sample]:
+    """A record's id, its feature as decoded and its sample, with feature
+    None; the feature is checked by read_float_rows."""
+    if not isinstance(obj, dict):
+        raise InputError(f"line {lineno}: record must be a JSON object")
     for key in ("id", "source", "side", "topics", "text", "feature"):
         if key not in obj:
             raise InputError(f"line {lineno}: record is missing {key!r}")
     sample_id = obj["id"]
     if not isinstance(sample_id, str) or not sample_id:
         raise InputError(f"line {lineno}: id must be a non-empty string")
-    feature = obj["feature"]
-    if not isinstance(feature, list) or len(feature) != feature_dim:
-        got = len(feature) if isinstance(feature, list) else type(feature).__name__
-        raise InputError(
-            f"line {lineno}: sample {sample_id!r}: feature length {got} does not "
-            f"match declared feature_dim {feature_dim}"
-        )
-    # Every JSON number decodes to a float (_decode); anything else is not one.
-    if not set(map(type, feature)) <= {float}:
-        raise InputError(
-            f"line {lineno}: sample {sample_id!r}: feature has non-numeric entries"
-        )
     topics = obj["topics"]
     if not isinstance(topics, list) or not all(isinstance(t, str) for t in topics):
         raise InputError(
@@ -240,18 +227,7 @@ def _parse_record(obj: dict, feature_dim: int, lineno: int) -> tuple[Sample, lis
         topics=frozenset(topics),
         raw_text=text,
     )
-    return sample, feature
-
-
-def _check_finite(block: np.ndarray, samples: list[Sample], linenos: list[int]) -> None:
-    """Raise for the first row of block, in file order, that is not finite."""
-    finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise InputError(
-            f"line {linenos[i]}: sample {samples[i].id!r}: feature has NaN or "
-            "entries outside the float32 range"
-        ) from None
+    return sample_id, obj["feature"], sample
 
 
 # Integer literals decode as floats too: "-0" keeps its sign, and an integer
@@ -259,39 +235,37 @@ def _check_finite(block: np.ndarray, samples: list[Sample], linenos: list[int]) 
 _decode = json.JSONDecoder(parse_int=float).decode
 
 
-def load_corpus(path: str, *, lines: list[str] | None = None) -> Corpus:
-    """Read a JSONL corpus: one header line, then one record per line.
+def read_float_rows(path: str, parse, label: str, *, header=None,
+                    lines: list[str] | None = None) -> tuple[list, np.ndarray]:
+    """Read a JSONL file of one id and one row of floats per line: the
+    items in file order and one float32 (n, dim) block, row i item i's.
 
-    Feature components are JSON numbers, each rounded once to float32 into
-    one (n, dim) block for the file, and each sample's feature is its row of
-    that block. Files written by save_corpus hold 9 significant digits per
-    component, enough to read every float32 back exactly; older files with
-    17 digits (the float64 repr) load to the same arrays. Malformed lines,
-    feature-length mismatches, components that are not numbers or not
-    finite in float32, and duplicate ids raise InputError naming the line
-    and, once the id is known, the sample; of several bad lines the first
-    is named. JSON nested too deeply to decode names its line, and bytes
-    that are not UTF-8 name the file. Texts are not tokenized here:
-    Sample.tokens is derived on first use.
-
-    Given a list as lines, each record line is appended to it as read, in
-    sample order, blank lines left out; a last line without a newline gets
-    one. save_corpus_lines writes such lines back as a corpus file.
+    header, when given, reads the first line and returns the row length it
+    declares; otherwise the first row's length is the file's. Each other
+    line that is not blank is decoded and handed to parse(obj, lineno),
+    which checks the format's own fields and returns the line's id, row and
+    item. A row must be a list of that many JSON numbers and is rounded once
+    to float32. Invalid or too deeply nested JSON, a repeated id, and a row
+    of another type or length or not finite in float32 raise InputError
+    naming the line and, for a row, its id (label.format of it), the first
+    bad line first; bytes that are not UTF-8 name the file. Given a list as
+    lines, each row line is appended to it as read, a newline added to a
+    last line without one.
     """
-    samples: list[Sample] = []
-    linenos: list[int] = []
-    seen: set[str] = set()
-    # Beyond the float32 range becomes inf, rejected by _check_finite.
+    ids: dict[str, int] = {}  # id -> line, in file order, one per block row
+    items: list = []
+    dim = None
+    # Grows by doubling; no row view exists until it is trimmed below.
+    block = np.empty((0, 0), dtype=np.float32)
     try:
+        # Beyond the float32 range becomes inf, rejected once the rows are read.
         with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
-            first = fh.readline()
-            if not first:
-                raise InputError("line 1: empty file, expected corpus header")
-            feature_dim = _parse_header(first)
-            # Grows by doubling; no row view exists until it is trimmed below.
-            block = np.empty((64, feature_dim), dtype=np.float32)
+            if header is not None:
+                dim = header(fh.readline())
+                expected = f"declared feature_dim {dim}"
+            failure = None
             try:
-                for lineno, line in enumerate(fh, start=2):
+                for lineno, line in enumerate(fh, start=1 if header is None else 2):
                     if not line.strip():
                         continue
                     try:
@@ -300,33 +274,91 @@ def load_corpus(path: str, *, lines: list[str] | None = None) -> Corpus:
                         raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
                     except RecursionError:
                         raise InputError(f"line {lineno}: JSON nested too deeply") from None
-                    if not isinstance(obj, dict):
-                        raise InputError(f"line {lineno}: record must be a JSON object")
-                    sample, feature = _parse_record(obj, feature_dim, lineno)
-                    if sample.id in seen:
+                    key, row, item = parse(obj, lineno)
+                    if key in ids:
                         raise InputError(
-                            f"line {lineno}: duplicate sample id {sample.id!r}"
+                            f"line {lineno}: duplicate id {key!r}, first on line {ids[key]}"
                         )
-                    n = len(samples)
+                    # Every JSON number decodes to a float; anything else is not one.
+                    if not isinstance(row, list) or not set(map(type, row)) <= {float}:
+                        raise InputError(
+                            f"line {lineno}: {label.format(key)} is not a list of numbers"
+                        )
+                    if dim is None:
+                        dim, expected = len(row), f"length {len(row)} of line {lineno}"
+                    if len(row) != dim:
+                        raise InputError(
+                            f"line {lineno}: {label.format(key)} length {len(row)} "
+                            f"does not match {expected}"
+                        )
+                    n = len(items)
                     if n == len(block):
-                        block.resize((2 * n, feature_dim), refcheck=False)
-                    block[n] = feature
-                    seen.add(sample.id)
-                    samples.append(sample)
-                    linenos.append(lineno)
+                        block.resize((max(2 * n, 64), dim), refcheck=False)
+                    block[n] = row
+                    ids[key] = lineno
+                    items.append(item)
                     if lines is not None:
                         lines.append(line if line.endswith("\n") else line + "\n")
-            except (InputError, UnicodeDecodeError):
-                # A non-finite feature on an earlier line is the first fault.
-                _check_finite(block[: len(samples)], samples, linenos)
-                raise
+            except (InputError, UnicodeDecodeError) as exc:
+                failure = exc
+            # A non-finite row on a line before a failure is the first fault.
+            finite = np.isfinite(block[: len(items)]).all(axis=1)
+            if not finite.all():
+                key, lineno = list(ids.items())[int(finite.argmin())]
+                raise InputError(f"line {lineno}: {label.format(key)} has NaN or "
+                                 "entries outside the float32 range")
+            if failure is not None:
+                raise failure
     except UnicodeDecodeError as exc:
         raise not_utf8(path, exc) from None
-    block.resize((len(samples), feature_dim), refcheck=False)
-    _check_finite(block, samples, linenos)
+    block.resize((len(items), dim or 0), refcheck=False)
+    return items, block
+
+
+def load_corpus(path: str, *, lines: list[str] | None = None) -> Corpus:
+    """Read a JSONL corpus, one header line and then one record per line,
+    with read_float_rows: each sample's feature is its row of the file's
+    float32 block, and files with 17-digit components (the float64 repr)
+    load to the same arrays as save_corpus's 9 digits. Texts are not
+    tokenized here: Sample.tokens is derived on first use. Given a list as
+    lines, the record lines are appended to it, which save_corpus_lines
+    writes back as a corpus file.
+    """
+    samples, block = read_float_rows(
+        path, _parse_record, "sample {!r}: feature", header=_parse_header, lines=lines
+    )
     for sample, row in zip(samples, block):
         sample.feature = row
-    return Corpus(feature_dim, samples)
+    return Corpus(block.shape[1], samples)
+
+
+def float_block(ids: list[str], rows: list, label: str, dim: int | None = None) -> np.ndarray:
+    """The rows as one float32 (n, dim) block, dim being the first row's
+    length unless given. The first row of another length or not finite in
+    float32 raises InputError naming its id (label.format of it)."""
+    expected = f"declared feature_dim {dim}"
+    if dim is None:
+        dim = np.size(rows[0]) if rows else 0
+        expected = f"length {dim} of the first row"
+    for key, row in zip(ids, rows):
+        if np.shape(row) != (dim,):
+            raise InputError(
+                f"{label.format(key)} length {np.size(row)} does not match {expected}"
+            )
+    with np.errstate(over="ignore"):
+        block = np.array(rows, dtype=np.float32).reshape(len(rows), dim)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        key = ids[int(finite.argmin())]
+        raise InputError(f"{label.format(key)} has non-finite entries")
+    return block
+
+
+def float_row_format(dim: int) -> str:
+    """A %-format for a JSON list of dim floats with 9 significant digits
+    each ("%.9g"), the fewest that read every float32 back exactly, -0.0,
+    subnormals and the largest finite one included."""
+    return "[" + ", ".join(["%.9g"] * dim) + "]"
 
 
 def _header_line(feature_dim: int) -> str:
@@ -342,23 +374,14 @@ def save_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus back to JSONL in the load_corpus schema.
 
     Each record is one JSON object with the feature last, its components
-    rounded to float32 and written with 9 significant digits ("%.9g"), the
-    fewest that read back to the same float32 for every value, -0.0,
-    subnormals and the largest finite one included. A feature of the wrong
-    length or with a component that is not finite in float32 raises
+    rounded to float32 and written with float_row_format. A feature of the
+    wrong length or with a component that is not finite in float32 raises
     InputError naming the sample before the file is opened.
     """
-    dim = corpus.feature_dim
-    for s in corpus:
-        if np.shape(s.feature) != (dim,):
-            raise InputError(
-                f"sample {s.id!r}: feature length {len(s.feature)} does not "
-                f"match declared feature_dim {dim}"
-            )
     features = corpus.finite_features()
-    feature_format = '"feature": [' + ", ".join(["%.9g"] * dim) + "]}\n"
+    feature_format = '"feature": ' + float_row_format(corpus.feature_dim) + "}\n"
     with atomic_write(path) as fh:
-        fh.write(_header_line(dim))
+        fh.write(_header_line(corpus.feature_dim))
         for s, row in zip(corpus, features):
             record = {
                 "id": s.id,

@@ -43,8 +43,16 @@ from .binio import (
     write_u32,
     write_u64,
 )
-from .corpus import Corpus, Vocabulary, build_vocabulary, vocabulary_from_counts
-from .errors import InputError, NumericError, not_utf8
+from .corpus import (
+    Corpus,
+    Vocabulary,
+    build_vocabulary,
+    float_block,
+    float_row_format,
+    read_float_rows,
+    vocabulary_from_counts,
+)
+from .errors import InputError, NumericError
 from .seeding import derive_seed
 
 PVDM_MAGIC = b"PVDM"
@@ -557,56 +565,31 @@ def load_model(path: str) -> PvdmModel:
 
 
 def save_embeddings(embeddings: dict[str, np.ndarray], path: str) -> None:
-    """Write an id -> embedding sidecar as JSONL."""
+    """Write an id -> embedding sidecar as JSONL, one {"id", "embedding"}
+    object per line and no header, each component rounded to float32 and
+    written with float_row_format. Embeddings of unequal lengths, or with a
+    component that is not finite in float32, raise InputError naming the
+    id before the file is opened."""
+    ids = list(embeddings)
+    block = float_block(ids, list(embeddings.values()), "embedding of {!r}")
+    line = '{"id": %s, "embedding": ' + float_row_format(block.shape[1]) + "}\n"
     with atomic_write(path) as fh:
-        for doc_id, vec in embeddings.items():
-            row = {"id": doc_id, "embedding": np.asarray(vec, np.float64).tolist()}
-            fh.write(json.dumps(row) + "\n")
+        for doc_id, row in zip(ids, block):
+            fh.write(line % (json.dumps(doc_id), *row.tolist()))
+
+
+def _embedding_row(obj, lineno: int) -> tuple[str, object, str]:
+    if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+        raise InputError(f"line {lineno}: embedding row needs a string id")
+    if "embedding" not in obj:
+        raise InputError(f"line {lineno}: embedding row needs an embedding")
+    return obj["id"], obj["embedding"], obj["id"]
 
 
 def load_embeddings(path: str) -> dict[str, np.ndarray]:
-    """Read an embeddings sidecar: one {"id", "embedding"} object per line.
-
-    Malformed lines, duplicate ids and values that are not numbers or not
-    finite in float32 raise InputError naming the line; JSON nested too
-    deeply to decode names its line, and bytes that are not UTF-8 name the
-    file."""
-    try:
-        return _read_embeddings(path)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-
-
-def _read_embeddings(path: str) -> dict[str, np.ndarray]:
-    embeddings: dict[str, np.ndarray] = {}
-    decode = json.JSONDecoder(parse_int=float).decode  # a huge integer reads as inf
-    # Beyond float32 range becomes inf, rejected below with NaN and infinities.
-    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = decode(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"line {lineno}: invalid JSON: {exc}") from None
-            except RecursionError:
-                raise InputError(f"line {lineno}: JSON nested too deeply") from None
-            if not isinstance(row, dict) or not isinstance(row.get("id"), str):
-                raise InputError(f"line {lineno}: embedding row needs a string id")
-            if "embedding" not in row:
-                raise InputError(f"line {lineno}: embedding row needs an embedding")
-            doc_id, values = row["id"], row["embedding"]
-            if doc_id in embeddings:
-                raise InputError(f"line {lineno}: duplicate embedding id {doc_id!r}")
-            if not isinstance(values, list) or not set(map(type, values)) <= {float}:
-                raise InputError(
-                    f"line {lineno}: embedding of {doc_id!r} is not a list of numbers"
-                )
-            vec = np.asarray(values, dtype=np.float32)
-            if not np.isfinite(vec).all():
-                raise InputError(
-                    f"line {lineno}: embedding of {doc_id!r} has a non-finite value"
-                    " (NaN, infinity or beyond float32 range)"
-                )
-            embeddings[doc_id] = vec
-    return embeddings
+    """Read an embeddings sidecar into {id: row}, every row a row of one
+    float32 block (read_float_rows). Every embedding has the first one's
+    length. Older sidecars with 17-digit components load to the same
+    arrays."""
+    ids, block = read_float_rows(path, _embedding_row, "embedding of {!r}")
+    return dict(zip(ids, block))

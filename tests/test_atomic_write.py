@@ -1,13 +1,16 @@
 """Every saved file is written beside its target and moved into place: a write
 that raises midway leaves the old file whole and no temporary file behind."""
 
+import itertools
+import json
 import os
 import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from weakbias import cli, classifier
+from weakbias import cli, classifier, corpus as corpus_module, doc2vec
 from weakbias.binio import atomic_write
 from weakbias.classifier import build_model, save_checkpoint
 from weakbias.corpus import SideLabel, save_corpus, vocabulary_from_counts
@@ -39,19 +42,18 @@ def text_model(doc_vectors):
     )
 
 
-class Samples:
-    """A corpus whose iteration fails after its first sample."""
+def dumps_then_raise(monkeypatch, module, calls):
+    """The module's json.dumps works for its first calls, then fails. The
+    writers check their whole input before opening the file, so a failure
+    there comes only after some output."""
+    count = itertools.count()
 
-    def __init__(self, corpus):
-        self.feature_dim, self.samples = corpus.feature_dim, list(corpus)
+    def dumps(obj):
+        if next(count) == calls:
+            raise Midway("interrupted")
+        return json.dumps(obj)
 
-    def __iter__(self):
-        return then_raise(self.samples[:1])
-
-
-class Embeddings(dict):
-    def items(self):
-        return then_raise(list(super().items())[:1])
+    monkeypatch.setattr(module, "json", SimpleNamespace(dumps=dumps))
 
 
 def corpus():
@@ -68,6 +70,16 @@ def checkpoint_midway(monkeypatch, path, workdir):
 
     monkeypatch.setattr(classifier, "write_vector", failing)
     save_checkpoint(build_model(4, hidden=3, fused=2, text_dim=2, seed=0), path)
+
+
+def embeddings_midway(monkeypatch, path, workdir):
+    dumps_then_raise(monkeypatch, doc2vec, 1)  # fails on the second line
+    save_embeddings({"a": np.zeros(3), "b": np.ones(3)}, path)
+
+
+def corpus_midway(monkeypatch, path, workdir):
+    dumps_then_raise(monkeypatch, corpus_module, 2)  # fails on the second record
+    save_corpus(corpus(), path)
 
 
 def vocab_run(path, workdir):
@@ -88,11 +100,11 @@ WRITERS = {
     ),
     "save_embeddings": (
         lambda mp, path, wd: save_embeddings({"a": np.ones(3)}, path),
-        lambda mp, path, wd: save_embeddings(Embeddings(a=np.zeros(3), b=np.ones(3)), path),
+        embeddings_midway,
     ),
     "save_corpus": (
         lambda mp, path, wd: save_corpus(corpus(), path),
-        lambda mp, path, wd: save_corpus(Samples(corpus()), path),
+        corpus_midway,
     ),
     "save_checkpoint": (
         lambda mp, path, wd: save_checkpoint(

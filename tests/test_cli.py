@@ -617,7 +617,9 @@ class TestUndecodableEmbeddingsAndConfig:
     @pytest.mark.parametrize("tail, message", [
         (b"\xff", "emb.jsonl: not UTF-8 text: byte 0xff"),
         (b"[" * 100_000 + b"\n", "line 201: JSON nested too deeply"),
-    ], ids=["non-utf8", "deep-nesting"])
+        (b'{"id": "extra", "embedding": [0.5]}\n',
+         "line 201: embedding of 'extra' length 1 does not match length"),
+    ], ids=["non-utf8", "deep-nesting", "mixed-length"])
     def test_embeddings_exit_three(self, workspace, tmp_path, capsys, tail, message):
         embeddings = tmp_path / "emb.jsonl"
         embeddings.write_bytes((workspace / "emb.bin").read_bytes() + tail)

@@ -23,6 +23,7 @@ from weakbias.corpus import (
     truncate_sentences,
     vocabulary_from_counts,
 )
+from weakbias.doc2vec import load_embeddings, save_embeddings
 from weakbias.errors import InputError
 
 from helpers import make_corpus, make_sample
@@ -121,6 +122,13 @@ class TestLoadCorpus:
         assert corpus.sample("x2").side is SideLabel.RIGHT
         assert corpus.sample("x1").feature.dtype == np.float32
 
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, "3", True, None])
+    def test_bad_feature_dim_names_the_header(self, tmp_path, dim):
+        header = json.dumps({"format": "weakbias-corpus", "version": 1, "feature_dim": dim})
+        path = self.write(tmp_path, [header, self.record("x", [1.0])])
+        with pytest.raises(InputError, match="^line 1: feature_dim must be a positive integer"):
+            load_corpus(path)
+
     def test_header_only_corpus_is_empty(self, tmp_path):
         corpus = load_corpus(self.write(tmp_path, [self.header()]))
         assert len(corpus) == 0
@@ -138,7 +146,7 @@ class TestLoadCorpus:
             ("text", ["a"], "text must be a string"),
             ("source", 5, "source must be a string"),
             ("side", "C", "side must be 'L' or 'R'"),
-            ("feature", 1.0, "feature length float does not match"),
+            ("feature", 1.0, "feature is not a list of numbers"),
         ],
     )
     def test_record_errors_name_line_and_sample(self, tmp_path, key, value, message):
@@ -165,7 +173,7 @@ class TestLoadCorpus:
             load_corpus(self.write(tmp_path, lines))
         with pytest.raises(InputError, match="^line 3: sample 'b': feature has NaN"):
             load_corpus(self.write(tmp_path, lines[:4] + ["{not json"]))
-        with pytest.raises(InputError, match="^line 4: duplicate sample id 'a'"):
+        with pytest.raises(InputError, match="^line 4: duplicate id 'a', first on line 2"):
             load_corpus(self.write(tmp_path, lines[:2] + lines[3:]))
 
     def test_features_are_rows_of_one_block(self, tmp_path):
@@ -229,10 +237,10 @@ class TestLoadCorpus:
     @pytest.mark.parametrize(
         "feature, message",
         [
-            ('[1.0, "1.5", 3.0]', "line 3: sample 'bad': feature has non-numeric entries"),
-            ("[1.0, true, 3.0]", "line 3: sample 'bad': feature has non-numeric entries"),
-            ("[1.0, null, 3.0]", "line 3: sample 'bad': feature has non-numeric entries"),
-            ("[[1.0], 2.0, 3.0]", "line 3: sample 'bad': feature has non-numeric entries"),
+            ('[1.0, "1.5", 3.0]', "line 3: sample 'bad': feature is not a list of numbers"),
+            ("[1.0, true, 3.0]", "line 3: sample 'bad': feature is not a list of numbers"),
+            ("[1.0, null, 3.0]", "line 3: sample 'bad': feature is not a list of numbers"),
+            ("[[1.0], 2.0, 3.0]", "line 3: sample 'bad': feature is not a list of numbers"),
             ("[1.0, " + "9" * 400 + ", 3.0]", "line 3: sample 'bad': feature has NaN or entries outside"),
             ("[1.0, -" + "9" * 400 + ", 3.0]", "line 3: sample 'bad': feature has NaN or entries outside"),
             ("[1.0, " + "9" * 5000 + ", 3.0]", "line 3: sample 'bad': feature has NaN or entries outside"),
@@ -351,6 +359,137 @@ class TestFeatureRoundTrip:
             (s.id, s.source, s.side, s.topics, s.raw_text) for s in from_new
         ]
         assert new.stat().st_size < old.stat().st_size
+
+
+_IDS = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\ud800'),
+               max_size=8)
+
+
+class TestSidecarRoundTrip:
+    """The embeddings sidecar is written and read with the corpus codec: one
+    float32 block per file, 9 significant digits per component."""
+
+    @given(st.lists(_IDS, unique=True, max_size=6), st.integers(1, 9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_save_then_load_is_bit_exact(self, tmp_path_factory, ids, dim, data):
+        matrix = data.draw(arrays(
+            np.float32, (len(ids), dim),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False)
+            | st.sampled_from(_EDGES),
+        ))
+        path = str(tmp_path_factory.mktemp("rt") / "emb.jsonl")
+        save_embeddings(dict(zip(ids, matrix)), path)
+        loaded = load_embeddings(path)
+        assert list(loaded) == ids
+        if ids:
+            block = loaded[ids[0]].base
+            assert block.shape == (len(ids), dim) and block.dtype == np.float32
+            assert all(row.base is block for row in loaded.values())
+            assert np.array_equal(block.view(np.uint32), matrix.view(np.uint32))
+
+    def test_parent_format_loads_to_the_same_arrays(self, tmp_path):
+        """Sidecars written before this codec hold the float64 repr of each
+        component, of float32 or float64 vectors; they load as the previous
+        loader read them, np.asarray(values, np.float32) per line."""
+        rng = np.random.default_rng(5)
+        exact = np.concatenate([
+            np.array([_EDGES], dtype=np.float32),
+            rng.integers(0, 2**32, size=(200, len(_EDGES)), dtype=np.uint32)
+            .view(np.float32),
+        ])
+        exact = exact[np.isfinite(exact).all(axis=1)].astype(np.float64)
+        rows = np.concatenate([exact, rng.normal(size=(20, len(_EDGES)))])
+        old = tmp_path / "old.jsonl"
+        old.write_text("".join(
+            json.dumps({"id": f"d{i}", "embedding": row.tolist()}) + "\n"
+            for i, row in enumerate(rows)
+        ), encoding="utf-8")
+        expected = [np.asarray(row.tolist(), dtype=np.float32) for row in rows]
+        from_old = load_embeddings(str(old))
+        new = tmp_path / "new.jsonl"
+        save_embeddings(from_old, str(new))
+        from_new = load_embeddings(str(new))
+        for loaded in (from_old, from_new):
+            assert list(loaded) == [f"d{i}" for i in range(len(rows))]
+            for got, want in zip(loaded.values(), expected):
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert new.stat().st_size < old.stat().st_size
+
+
+# Splices for the fuzz tests: bytes that are not UTF-8 (a lone lead,
+# continuation and surrogate), nesting beyond the decoder's recursion, and
+# line breaks, a lone CR included.
+_SPLICES = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"[" * 100_000, b"{" * 100_000,
+            b"\n", b"\r", b"\r\n", b"1e39", b"NaN", b'"']
+
+
+def _mutate(data: bytes, kind: str, offset: int, flip: int, splice: bytes) -> bytes:
+    offset %= len(data) + 1
+    if kind == "truncate":
+        return data[:offset]
+    if kind == "flip" and offset < len(data):
+        return data[:offset] + bytes([data[offset] ^ flip]) + data[offset + 1:]
+    return data[:offset] + splice + data[offset:]
+
+
+_MUTATIONS = st.tuples(
+    st.sampled_from(["truncate", "flip", "splice"]),
+    st.integers(0, 10**6),
+    st.integers(1, 255),
+    st.sampled_from(_SPLICES),
+)
+
+
+class TestFloatRowFuzz:
+    """Both float-row JSONL files, mutated by truncation, a flipped byte or a
+    spliced-in non-UTF-8 byte, deep nesting or line break: loading either
+    raises InputError or gives a value that saves and reloads to itself."""
+
+    def mutated(self, tmp_path_factory, data, mutations):
+        path = tmp_path_factory.mktemp("fuzz") / "in.jsonl"
+        for mutation in mutations:
+            data = _mutate(data, *mutation)
+        path.write_bytes(data)
+        return str(path)
+
+    @given(st.lists(_MUTATIONS, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_corpus(self, tmp_path_factory, mutations):
+        clean = tmp_path_factory.mktemp("clean") / "c.jsonl"
+        corpus = _feature_corpus([[0.5, -1.25e-3, 3.0], [1e30, -0.0, 7.0], [2.0, 1.5, -4.0]])
+        corpus.samples[0].raw_text = "caf\u00e9 \u2014 one"
+        save_corpus(corpus, str(clean))
+        data = clean.read_text().replace("\\u00e9", "\u00e9").encode("utf-8")
+        path = self.mutated(tmp_path_factory, data, mutations)
+        try:
+            loaded = load_corpus(path)
+        except InputError:
+            return
+        save_corpus(loaded, path + ".again")
+        again = load_corpus(path + ".again")
+        fields = [(s.id, s.source, s.side, s.topics, s.raw_text) for s in loaded]
+        assert [(s.id, s.source, s.side, s.topics, s.raw_text) for s in again] == fields
+        assert again.feature_dim == loaded.feature_dim
+        assert np.array_equal(again.features().view(np.uint32),
+                              loaded.features().view(np.uint32))
+
+    @given(st.lists(_MUTATIONS, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_embeddings(self, tmp_path_factory, mutations):
+        clean = tmp_path_factory.mktemp("clean") / "e.jsonl"
+        save_embeddings({"a": [0.5, -1.25e-3, 3.0], "b\u00e9": [1e30, -0.0, 7.0],
+                         "c": [2.0, 1.5, -4.0]}, str(clean))
+        data = clean.read_text().replace("\\u00e9", "\u00e9").encode("utf-8")
+        path = self.mutated(tmp_path_factory, data, mutations)
+        try:
+            loaded = load_embeddings(path)
+        except InputError:
+            return
+        save_embeddings(loaded, path + ".again")
+        again = load_embeddings(path + ".again")
+        assert list(again) == list(loaded)
+        for key, row in loaded.items():
+            assert np.array_equal(again[key].view(np.uint32), row.view(np.uint32))
 
 
 _TEXTS = st.text(

@@ -740,6 +740,9 @@ class TestNearestWords:
             nearest_words(model, ["red0"], n=n, embed="other")
 
 
+_NOT_FINITE = "line 2: embedding of 's9' has NaN or entries outside the float32 range"
+
+
 class TestModelFiles:
     @pytest.fixture()
     def trained(self):
@@ -801,22 +804,47 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_embedding_sidecar_text_is_per_component_floats(self, tmp_path, dtype):
-        """The sidecar writes each component as float(x) would, byte for byte:
-        signed zeros, subnormals and the largest finite value included."""
-        info = np.finfo(dtype)
+        """The sidecar writes one object per line and no header, each
+        component rounded to float32 and written with "%.9g", as a corpus
+        feature is: signed zeros, subnormals and the largest finite float32
+        included."""
+        info = np.finfo(np.float32)
         table = {
             "edge": np.array([0.1, -0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal,
-                              info.tiny / 3, info.max, -info.max, -1 / 3, 1e-30], dtype=dtype),
-            "random": np.random.default_rng(0).normal(size=7).astype(dtype),
-            "ints": np.arange(-2, 3),
+                              -info.tiny, info.max, -info.max, -1 / 3, 1e-30], dtype=dtype),
+            'q"\u00e9\ud800': np.arange(-2, 8, dtype=dtype),
         }
         path = tmp_path / "emb.jsonl"
         save_embeddings(table, str(path))
-        expected = "".join(
-            json.dumps({"id": key, "embedding": [float(x) for x in vec]}) + "\n"
-            for key, vec in table.items()
+        assert path.read_text(encoding="utf-8") == (
+            '{"id": "edge", "embedding": [0.100000001, -0, 0, 1.40129846e-45, -1.40129846e-45, '
+            "-1.17549435e-38, 3.40282347e+38, -3.40282347e+38, -0.333333343, 1e-30]}\n"
+            '{"id": "q\\"\\u00e9\\ud800", "embedding": [-2, -1, 0, 1, 2, 3, 4, 5, 6, 7]}\n'
         )
-        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"a": np.array([np.nan, 1.0])}, "embedding of 'a' has non-finite entries"),
+            ({"a": np.ones(2), "b": np.array([1.0, np.inf])}, "embedding of 'b' has non-finite"),
+            ({"a": np.ones(2), "b": np.array([1e39, 1.0])}, "embedding of 'b' has non-finite"),
+            ({"a": np.ones(2), "b": np.ones(1)},
+             "embedding of 'b' length 1 does not match length 2 of the first row"),
+            ({"a": np.ones(2), "b": np.ones((2, 2))}, "embedding of 'b' length 4"),
+        ],
+        ids=["nan", "inf", "beyond-float32", "shorter", "matrix"],
+    )
+    def test_save_refuses_what_the_loader_would(self, tmp_path, table, message):
+        """Nothing is written: neither a new file nor over an old one."""
+        path = tmp_path / "emb.jsonl"
+        with pytest.raises(InputError, match=f"^{message}"):
+            save_embeddings(table, str(path))
+        assert not list(tmp_path.iterdir())
+        path.write_bytes(b"old")
+        with pytest.raises(InputError, match=f"^{message}"):
+            save_embeddings(table, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.jsonl"]
+        assert path.read_bytes() == b"old"
 
     @pytest.mark.parametrize("matrix", ["word", "node", "doc"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -839,14 +867,20 @@ class TestModelFiles:
             ('{"id": "s9", "embedding": [1.0, true]}', "line 2: embedding of 's9' is not a list"),
             ('{"id": "s9", "embedding": [[1.0], [2.0]]}', "line 2: embedding of 's9' is not a list"),
             ('{"id": "s9", "embedding": 1.0}', "line 2: embedding of 's9' is not a list"),
-            ('{"id": "s9", "embedding": [1.0, NaN]}', "line 2: embedding of 's9' has a non-finite"),
-            ('{"id": "s9", "embedding": [Infinity, 1.0]}', "line 2: embedding of 's9' has a non-finite"),
-            ('{"id": "s9", "embedding": [-Infinity, 1.0]}', "line 2: embedding of 's9' has a non-finite"),
-            ('{"id": "s9", "embedding": [1e39, 1.0]}', "line 2: embedding of 's9' has a non-finite"),
-            ('{"id": "s9", "embedding": [1, ' + "9" * 400 + ']}', "line 2: embedding of 's9' has a non-finite"),
+            ('{"id": "s9", "embedding": [1.0]}',
+             "line 2: embedding of 's9' length 1 does not match length 2 of line 1"),
+            ('{"id": "s9", "embedding": [1.0, 2.0, 3.0]}',
+             "line 2: embedding of 's9' length 3 does not match length 2 of line 1"),
+            ('{"id": "s0", "embedding": [1.0, 2.0]}', "line 2: duplicate id 's0', first on line 1"),
+            ('{"id": "s9", "embedding": [1.0, NaN]}', _NOT_FINITE),
+            ('{"id": "s9", "embedding": [Infinity, 1.0]}', _NOT_FINITE),
+            ('{"id": "s9", "embedding": [-Infinity, 1.0]}', _NOT_FINITE),
+            ('{"id": "s9", "embedding": [1e39, 1.0]}', _NOT_FINITE),
+            ('{"id": "s9", "embedding": [1, ' + "9" * 400 + ']}', _NOT_FINITE),
         ],
     )
     def test_bad_embedding_rows_name_line_and_id(self, tmp_path, line, message):
+        """The sidecar and the corpus share one reader and its messages."""
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "s0", "embedding": [0.5, -1]}\n' + line + "\n")
         with pytest.raises(InputError, match=message):
