@@ -48,7 +48,20 @@ def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+# fh.read(n) allocates all n bytes before it reads any, so a corrupt count
+# could ask for gigabytes. A read of up to this many bytes is harmless to try;
+# a longer one, which a file makes only for its few matrices, is first checked
+# against the bytes a regular file has left (a FIFO has no size to check).
+_UNCHECKED_READ = 1 << 16
+
+
 def read_exact(fh: BinaryIO, n: int) -> bytes:
+    if n > _UNCHECKED_READ:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and n > info.st_size - fh.tell():
+            raise InputError(
+                f"truncated file: wanted {n} bytes, {info.st_size - fh.tell()} left"
+            )
     data = fh.read(n)
     if len(data) != n:
         raise InputError(f"truncated file: wanted {n} bytes, got {len(data)}")
@@ -79,7 +92,10 @@ def write_str(fh: BinaryIO, text: str) -> None:
 
 def read_str(fh: BinaryIO) -> str:
     n = read_u32(fh)
-    return read_exact(fh, n).decode("utf-8")
+    try:
+        return read_exact(fh, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"string of {n} bytes is not UTF-8: {exc.reason}") from None
 
 
 def write_matrix(fh: BinaryIO, matrix: np.ndarray) -> None:

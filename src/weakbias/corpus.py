@@ -185,9 +185,9 @@ def _parse_header(line: str) -> int:
         raise InputError("line 1: header JSON is nested too deeply") from None
     if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
         raise InputError(f"line 1: not a {CORPUS_FORMAT} header")
-    if header.get("version") != CORPUS_VERSION:
-        raise InputError(f"line 1: unsupported version {header.get('version')!r}")
-    dim = header.get("feature_dim")
+    version, dim = header.get("version"), header.get("feature_dim")
+    if type(version) is not int or version != CORPUS_VERSION:  # JSON true == 1
+        raise InputError(f"line 1: unsupported version {version!r}")
     if type(dim) is not int or dim < 1:  # JSON true is an int to isinstance
         raise InputError(f"line 1: feature_dim must be a positive integer, got {dim!r}")
     return dim

@@ -20,7 +20,7 @@ one reduce per path length give the losses. Inference fits only a fresh
 document vector against frozen word and node vectors, so unseen documents
 are independent and are embedded together, one position of every document
 per array update; what does not move with the document vectors is tabled
-first.
+first, and a position writes into buffers allocated once per call.
 """
 
 from __future__ import annotations
@@ -397,7 +397,9 @@ def infer_documents(
     whichever other documents share the batch. A call builds its tables once
     (_inference_tables) with -sign / m beside them; a step scales the signs by
     its step sizes in one array operation, then moves the running documents
-    a position at a time: a gather, two stacked matmuls and in-place ufuncs.
+    a position at a time: a gather, two stacked matmuls and in-place ufuncs,
+    all writing into prefixes of buffers allocated once per call and sized
+    for position 0, where every document runs.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -434,22 +436,30 @@ def infer_documents(
         seed = derive_seed(cfg.seed, "pvdm-infer") if seeds[i] is None else seeds[i]
         vecs[r] = np.random.default_rng(seed).uniform(-0.5 / dim, 0.5 / dim, dim)
     numer = np.empty_like(neg_signs)  # neg_sign * step: coef * step = numer / (1 + exp(v))
-    plan = [(vecs[: j - i, :, None], paths[i:j], *(t[i:j, :, None] for t in (z_window, a, numer)))
-            for i, j in zip(offsets[:-1].tolist(), offsets[1:].tolist())]  # sliced once
+    # Position 0 runs every document, so its temporaries bound every position's:
+    # a position writes into [:k] prefixes of these, the gather's also transposed.
+    n, depth = len(rows), paths.shape[1]
+    gather, v_buf = np.empty((n, depth, dim), dtype), np.empty((n, depth, 1), dtype)
+    delta_buf = np.empty((n, dim, 1), dtype)
+    plan = [(vecs[:k, :, None], paths[i:j], gather[:k], gather[:k].transpose(0, 2, 1), v_buf[:k],
+             delta_buf[:k], *(t[i:j, :, None] for t in (z_window, a, numer)))
+            for i, j, k in zip(offsets[:-1].tolist(), offsets[1:].tolist(), running.tolist())]
+    one, clip = np.array(1.0, dtype), np.array(60.0, dtype)  # 0-d: no scalar casts
     for step in range(steps):
         # The schedule runs over each document's own steps * length updates;
         # the step size is rounded to the model dtype only after -lr / m.
         lr = _linear_decay(cfg, step * length + position, steps * length)
         np.multiply(neg_signs, (-lr / m).astype(dtype)[:, None], out=numer)
-        for doc, path, z_t, a_t, numer_t in plan:
-            nodes = model.node_vectors.take(path, axis=0)
-            v = np.matmul(nodes, doc)
+        for doc, path, nodes, nodes_t, v, delta, z_t, a_t, numer_t in plan:
+            model.node_vectors.take(path, axis=0, out=nodes, mode="clip")  # in range, unbuffered
+            np.matmul(nodes, doc, out=v)
             v += z_t
             v *= a_t
-            np.exp(np.minimum(v, 60.0, out=v), out=v)  # finite, as in _sigmoid
-            v += 1.0
+            np.minimum(v, clip, out=v)  # finite, as in _sigmoid
+            np.exp(v, out=v)
+            v += one
             np.divide(numer_t, v, out=v)
-            doc += np.matmul(nodes.transpose(0, 2, 1), v)
+            doc += np.matmul(nodes_t, v, out=delta)
     if not np.all(np.isfinite(vecs)):
         raise NumericError("inference produced a non-finite document vector")
     return vecs[np.argsort(order, kind="stable")]  # stable, as above: other kinds page in code

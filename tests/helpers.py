@@ -1,9 +1,12 @@
-"""Builders for tiny hand-made corpora used across the test suite, and the
-PV-DM position plan the doc2vec oracles are written against."""
+"""Builders for tiny hand-made corpora used across the test suite, the
+PV-DM position plan the doc2vec oracles are written against, and the
+mutations the binary-file fuzz tests apply."""
 
+import struct
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 from weakbias.corpus import Corpus, Sample, SideLabel
 
@@ -173,3 +176,35 @@ def position_plan(token_idx, window, dtype):
             )
         )
     return plan
+
+
+U32_MAX = 2**32 - 1
+
+# One mutation of a binary file: a truncation, a flipped byte, appended bytes,
+# or a u32 count field overwritten with a random or the maximal value.
+BINARY_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("count"), st.integers(0, 100), st.just(U32_MAX) | st.integers(0, U32_MAX)),
+)
+
+
+def mutate_binary(data, mutation, count_offsets):
+    """Apply one BINARY_MUTATIONS draw to `data`. A count mutation picks one
+    of the byte offsets `count_offsets` and leaves a file too short for it
+    as it is."""
+    kind, at, *rest = mutation
+    if kind == "append":
+        return data + at
+    if kind == "count":
+        offset = count_offsets[at % len(count_offsets)]
+        if offset + 4 > len(data):
+            return data
+        return data[:offset] + struct.pack("<I", rest[0]) + data[offset + 4:]
+    at %= len(data) + 1
+    if kind == "truncate":
+        return data[:at]
+    if at == len(data):
+        return data
+    return data[:at] + bytes([data[at] ^ rest[0]]) + data[at + 1:]

@@ -4,8 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import clean_batch, fd_check, feature_corpus, make_corpus, make_sample
+from helpers import (
+    BINARY_MUTATIONS,
+    U32_MAX,
+    clean_batch,
+    fd_check,
+    feature_corpus,
+    make_corpus,
+    make_sample,
+    mutate_binary,
+)
 from weakbias.corpus import ClassWeights, Corpus, SideLabel
 from weakbias.classifier import (
     BiasModel,
@@ -595,9 +606,71 @@ class TestCheckpoints:
         with pytest.raises(InputError, match=f"non-finite value in {layer} {array}$"):
             load_checkpoint(str(path))
 
+    def test_maximal_feature_dim_names_bytes_wanted_and_left(self, tmp_path):
+        """fh.read would allocate every byte a corrupt count asks for."""
+        model = build_model(8, hidden=6, fused=5, text_dim=7)
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, str(path))
+        data = bytearray(path.read_bytes())
+        data[8:12] = U32_MAX.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        left = len(data) - 36  # everything after the header and an empty word list
+        message = f"^truncated file: wanted {U32_MAX * 6 * 4} bytes, {left} left$"
+        with pytest.raises(InputError, match=message):
+            load_checkpoint(str(path))
+
     def test_word_count_mismatch_rejected_on_save(self, tmp_path):
         model = build_model(8, hidden=6, fused=5, text_dim=7)
         model.word_head = Affine(np.zeros((5, 3), np.float32), np.zeros(3, np.float32))
         model.visual_words = ["only", "two"]
         with pytest.raises(InputError, match="visual words"):
             save_checkpoint(model, str(tmp_path / "bad.bin"))
+
+
+class TestCheckpointFuzz:
+    """A checkpoint mutated up to three times by truncation, a flipped byte,
+    appended bytes or a u32 count overwritten: loading either raises
+    InputError or gives a model that saves and reloads to the same bytes."""
+
+    # feature_dim, hidden, fused, text_dim, the visual word count and the
+    # first word's length.
+    COUNTS = [8, 12, 16, 20, 32, 36]
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        model = build_model(3, hidden=2, fused=2, text_dim=2, seed=1)
+        rng = np.random.default_rng(0)
+        model.head2 = Affine.create(rng, 2, 2)
+        model.word_head = Affine.create(rng, 2, 2)
+        model.visual_words = ["cat", "d\u00e9"]
+        return model
+
+    def saved(self, model, tmp_path, name):
+        path = tmp_path / name
+        save_checkpoint(model, str(path))
+        return path
+
+    @given(st.lists(BINARY_MUTATIONS, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_checkpoint(self, tmp_path_factory, clean, mutations):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        data = self.saved(clean, tmp_path, "clean.ckpt").read_bytes()
+        for mutation in mutations:
+            data = mutate_binary(data, mutation, self.COUNTS)
+        path = tmp_path / "in.ckpt"
+        path.write_bytes(data)
+        try:
+            loaded = load_checkpoint(str(path))
+        except InputError:
+            return
+        once = self.saved(loaded, tmp_path, "once.ckpt")
+        twice = self.saved(load_checkpoint(str(once)), tmp_path, "twice.ckpt")
+        assert twice.read_bytes() == once.read_bytes()
+
+    @pytest.mark.parametrize("field", range(len(COUNTS)))
+    def test_maximal_count_is_refused_before_reading(self, tmp_path, clean, field):
+        data = self.saved(clean, tmp_path, "clean.ckpt").read_bytes()
+        path = tmp_path / "in.ckpt"
+        path.write_bytes(mutate_binary(data, ("count", field, U32_MAX), self.COUNTS))
+        with pytest.raises(InputError, match=r"^truncated file: wanted \d+ bytes, "):
+            load_checkpoint(str(path))

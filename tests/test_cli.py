@@ -645,6 +645,34 @@ class TestUndecodableEmbeddingsAndConfig:
         assert message in err
 
 
+class TestCorruptCountField:
+    """A model or checkpoint whose header declares 2**32 - 1 of something
+    exits 3 with one input error line, not with a MemoryError traceback."""
+
+    def corrupt(self, source, tmp_path, offset):
+        data = bytearray(source.read_bytes())
+        data[offset:offset + 4] = b"\xff" * 4
+        path = tmp_path / source.name
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_infer_text_model_doc_count(self, workspace, tmp_path, capsys):
+        model = self.corrupt(workspace / "text.pv", tmp_path, 16)
+        code = run("infer-text", "--model", model, "--corpus", workspace / "corpus.jsonl",
+                   "--embeddings-out", tmp_path / "emb.jsonl")
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input: truncated file: wanted ") and "\n" not in err
+        assert not (tmp_path / "emb.jsonl").exists()
+
+    def test_eval_checkpoint_feature_dim(self, workspace, tmp_path, capsys):
+        model = self.corrupt(workspace / "s2.ckpt", tmp_path, 8)
+        code = run("eval", "--corpus", workspace / "corpus.jsonl", "--model", model)
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input: truncated file: wanted ") and "\n" not in err
+
+
 class TestEval:
     def test_json_report_with_top_k(self, workspace, capsys):
         assert run("eval", "--corpus", workspace / "corpus.jsonl",

@@ -129,6 +129,14 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match="^line 1: feature_dim must be a positive integer"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+    def test_bad_version_names_the_value(self, tmp_path, version):
+        """JSON true equals 1 and 1.0 too; the version must be the integer 1."""
+        header = json.dumps({"format": "weakbias-corpus", "version": version, "feature_dim": 1})
+        path = self.write(tmp_path, [header, self.record("x", [1.0])])
+        with pytest.raises(InputError, match=f"^line 1: unsupported version {version!r}$"):
+            load_corpus(path)
+
     def test_header_only_corpus_is_empty(self, tmp_path):
         corpus = load_corpus(self.write(tmp_path, [self.header()]))
         assert len(corpus) == 0

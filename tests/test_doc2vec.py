@@ -33,7 +33,14 @@ from weakbias.errors import InputError
 from weakbias.seeding import derive_seed
 from weakbias.synthetic import SyntheticSpec, make_synthetic
 
-from helpers import make_corpus, position_plan, two_topic_corpus
+from helpers import (
+    BINARY_MUTATIONS,
+    U32_MAX,
+    make_corpus,
+    mutate_binary,
+    position_plan,
+    two_topic_corpus,
+)
 
 
 def tiny_model(word_counts, dim=8, seed=0, zero_nodes=False):
@@ -651,6 +658,22 @@ class TestBatchedInference:
                 infer_document(inference_model, tokens, 5, seed), batch[i]
             )
 
+    def test_every_running_count_uses_its_buffer_prefix(self):
+        """Documents of each length from 1 to 24: the number still running
+        drops at every position, so every prefix of the per-call buffers is
+        used. Each row is the bits of its document alone, in either order."""
+        model = random_model(20, dim=8, window=3, dtype=np.float32, seed=15)
+        rng = np.random.default_rng(3)
+        docs = [[f"w{i}" for i in rng.integers(0, 20, n)] for n in range(1, 25)]
+        seeds = list(range(100, 124))
+        batch = infer_documents(model, docs, 4, seeds)
+        assert batch.dtype == np.float32
+        reverse = infer_documents(model, docs[::-1], 4, seeds[::-1])
+        np.testing.assert_array_equal(reverse[::-1].view(np.uint32), batch.view(np.uint32))
+        for row, tokens, seed in zip(batch, docs, seeds):
+            alone = infer_document(model, tokens, 4, seed)
+            np.testing.assert_array_equal(alone.view(np.uint32), row.view(np.uint32))
+
     @pytest.mark.parametrize("window", [1, 3, 20])
     def test_float64_matches_the_loop_to_rounding(self, float64_inference_model, window):
         """In float64 the folded step (-sign / m, the window term, the step size
@@ -885,3 +908,80 @@ class TestModelFiles:
         path.write_text('{"id": "s0", "embedding": [0.5, -1]}\n' + line + "\n")
         with pytest.raises(InputError, match=message):
             load_embeddings(str(path))
+
+
+class TestModelFileFuzz:
+    """A PVDM file mutated up to three times by truncation, a flipped byte,
+    appended bytes or a u32 count overwritten: loading either raises
+    InputError or gives a model that saves and reloads to the same bytes."""
+
+    # dim, vocabulary size, document count and the first word's length.
+    COUNTS = [8, 12, 16, 20]
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        vocab = vocabulary_from_counts({"a": 5, "b\u00e9": 3, "c": 2, "d": 1}, 1)
+        rng = np.random.default_rng(4)
+        return PvdmModel(
+            word_vectors=rng.normal(size=(4, 3)).astype(np.float32),
+            node_vectors=rng.normal(size=(3, 3)).astype(np.float32),
+            doc_vectors=rng.normal(size=(2, 3)).astype(np.float32),
+            vocabulary=vocab,
+            config=PvdmConfig(dim=3, min_count=1),
+        )
+
+    def saved(self, model, tmp_path, name):
+        path = tmp_path / name
+        save_model(model, str(path))
+        return path
+
+    @given(st.lists(BINARY_MUTATIONS, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_model(self, tmp_path_factory, clean, mutations):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        data = self.saved(clean, tmp_path, "clean.pvdm").read_bytes()
+        for mutation in mutations:
+            data = mutate_binary(data, mutation, self.COUNTS)
+        path = tmp_path / "in.pvdm"
+        path.write_bytes(data)
+        try:
+            loaded = load_model(str(path))
+        except InputError:
+            return
+        once = self.saved(loaded, tmp_path, "once.pvdm")
+        twice = self.saved(load_model(str(once)), tmp_path, "twice.pvdm")
+        assert twice.read_bytes() == once.read_bytes()
+
+    @pytest.mark.parametrize("field", range(len(COUNTS)))
+    def test_maximal_count_is_refused_before_reading(self, tmp_path, clean, field):
+        """A count of 2**32 - 1 asks for far more bytes than the file has; the
+        loader says so instead of allocating them."""
+        data = self.saved(clean, tmp_path, "clean.pvdm").read_bytes()
+        path = tmp_path / "in.pvdm"
+        path.write_bytes(mutate_binary(data, ("count", field, U32_MAX), self.COUNTS))
+        with pytest.raises(InputError, match=r"^truncated file: wanted \d+ bytes, "):
+            load_model(str(path))
+
+    def test_reads_over_64_kib_are_checked_against_the_bytes_left(self, tmp_path):
+        """The word and document matrices here are 100 KiB each: the check
+        passes a matrix that ends the file exactly and refuses one 4 bytes
+        short."""
+        model = tiny_model({f"w{i}": i + 1 for i in range(200)}, dim=128)
+        model.doc_vectors = np.ones((200, 128), np.float32)
+        data = self.saved(model, tmp_path, "big.pvdm").read_bytes()
+        again = self.saved(load_model(str(tmp_path / "big.pvdm")), tmp_path, "again.pvdm")
+        assert again.read_bytes() == data
+        (tmp_path / "short.pvdm").write_bytes(data[:-4])
+        message = f"^truncated file: wanted {200 * 128 * 4} bytes, {200 * 128 * 4 - 4} left$"
+        with pytest.raises(InputError, match=message):
+            load_model(str(tmp_path / "short.pvdm"))
+
+    def test_maximal_document_count_names_bytes_wanted_and_left(self, tmp_path, clean):
+        data = bytearray(self.saved(clean, tmp_path, "clean.pvdm").read_bytes())
+        data[16:20] = U32_MAX.to_bytes(4, "little")
+        path = tmp_path / "in.pvdm"
+        path.write_bytes(bytes(data))
+        left = 2 * 3 * 4  # the two saved document vectors
+        message = f"^truncated file: wanted {U32_MAX * 3 * 4} bytes, {left} left$"
+        with pytest.raises(InputError, match=message):
+            load_model(str(path))
