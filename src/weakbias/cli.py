@@ -166,7 +166,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int over int()'s digit limit
             raise UsageError(f"config is not valid JSON: {exc}") from None
         except RecursionError:
             raise InputError("config JSON is nested too deeply") from None
@@ -192,6 +192,11 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
 
 
 def _coerce(kind, raw, where: str):
+    """A section value as `kind` (bool, int or float). INI values are strings
+    that kind() must accept; JSON values keep their type, so an int key takes
+    only an integer and a float key only a number, never a boolean. Anything
+    else is a UsageError naming the key. The config types check the values'
+    ranges, finiteness included, for flags and files alike."""
     if kind is bool:
         if isinstance(raw, bool):
             return raw
@@ -199,9 +204,12 @@ def _coerce(kind, raw, where: str):
         if word not in _BOOL_WORDS:
             raise UsageError(f"bad boolean {raw!r} for {where}")
         return _BOOL_WORDS[word]
+    numbers = (int, float) if kind is float else int
+    if not isinstance(raw, str) and (isinstance(raw, bool) or not isinstance(raw, numbers)):
+        raise UsageError(f"bad value {raw!r} for {where}: expected {kind.__name__}")
     try:
-        return kind(raw)
-    except (TypeError, ValueError):
+        return kind(raw)  # ValueError: int("1.5"), or more digits than int() reads
+    except (ValueError, OverflowError):  # OverflowError: float(10**400)
         raise UsageError(f"bad value {raw!r} for {where}") from None
 
 

@@ -179,7 +179,7 @@ def _parse_header(line: str) -> int:
         raise InputError("line 1: empty file, expected corpus header")
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over int()'s digit limit
         raise InputError(f"line 1: header is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError("line 1: header JSON is nested too deeply") from None

@@ -15,12 +15,13 @@ viewed as one opaque record per row. A position copies its rows (path
 nodes, window words, document) into a buffer shared by the positions of its
 shape, updates them there with in-place ufuncs and copies them back, which
 gives the bits of updating the three matrices one at a time. Its
-probabilities wait in a row per position; after the document, one log and
-one reduce per path length give the losses. Inference fits only a fresh
-document vector against frozen word and node vectors, so unseen documents
-are independent and are embedded together, one position of every document
-per array update; what does not move with the document vectors is tabled
-first, and a position writes into buffers allocated once per call.
+probabilities wait in a row per position; per epoch, one log and one reduce
+per path length give the losses, summed in the plain loop's order.
+Inference fits only a fresh document vector against frozen word and node
+vectors, so unseen documents are independent and are embedded together, one
+position of every document per array update; what does not move with the
+document vectors is tabled first, and a position writes into buffers
+allocated once per call.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class PvdmConfig:
             raise InputError(f"epochs must be >= 0, got {self.epochs}")
         if self.min_count < 1:
             raise InputError(f"min_count must be >= 1, got {self.min_count}")
-        if not 0 < self.final_lr <= self.initial_lr:
+        if not 0 < self.final_lr <= self.initial_lr < np.inf:
             raise InputError(
-                f"need 0 < final_lr <= initial_lr, got "
+                f"need 0 < final_lr <= initial_lr < inf, got "
                 f"{self.final_lr} / {self.initial_lr}"
             )
 
@@ -178,33 +179,40 @@ def _linear_decay(config: PvdmConfig, done, total) -> np.ndarray:
 
 
 def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim: int,
-                    dtype: np.dtype) -> tuple[list[tuple], list[np.ndarray]]:
-    """_sgd_pass's plan of each non-empty token-id row, built once, and the loss
-    buffers, one per path length n, with a row for each position of length n
-    in the document that has the most.
+                    dtype: np.dtype) -> tuple:
+    """_sgd_pass's plan of the token-id rows, built once: (positions, m, path
+    lengths, document ends, loss rows).
 
-    A document is (positions, position count per n, each position's index
-    among the loss rows in n order, m as float64). A position is (params rows:
-    path nodes, sorted unique window words, document; the buffers shared with
-    the positions of its n and u unique window words; weights, None if m == 1;
-    repeats as a column, None if all are 1; m; 2 bits - 1; its loss row)."""
+    The positions are those of the non-empty rows, in corpus order; m and
+    the path lengths are each one's m (float64) and n (int8), and a
+    document's positions end at its end offset. The loss rows are one
+    (count, n) block per path length n, a row for each position of length n
+    in the corpus. All of it grows with the positions, not with the longest
+    document. A position is (params rows: path nodes, sorted unique window
+    words, document; the buffers shared with the positions of its n and u
+    unique window words, then n; weights, None if m == 1; repeats as a
+    column, None if all are 1; m; 2 bits - 1)."""
     n_words, depth = len(vocab), max(p.size for p in vocab.paths)
     node_rows = [(p + n_words).tolist() for p in vocab.paths]
     neg_signs = [2.0 * c.astype(dtype) - 1.0 for c in vocab.codes]
     ones = [np.ones(k, dtype) for k in range(2 * window + 1)]
     m_values = [dtype.type(m) for m in range(2 * window + 2)]
-    path_lengths = np.array([p.size for p in vocab.paths])
-    peak = np.max([np.bincount(path_lengths[row], minlength=depth + 1) for row in rows], axis=0)
-    losses = [np.empty((count, n), dtype) for n, count in enumerate(peak.tolist())]
+    docs = [(doc_row, row) for doc_row, row in enumerate(rows, n_words + vocab.n_inner_nodes)
+            if row.size]
+    path_lengths = np.array([p.size for p in vocab.paths], np.int8)  # u64 counts: depth < 93
+    lengths = np.concatenate([path_lengths[row] for _, row in docs])
+    doc_ends = np.cumsum([row.size for _, row in docs]).tolist()
+    counts = np.bincount(lengths, minlength=depth + 1).tolist()
+    losses = [np.empty((count, n), dtype) for n, count in enumerate(counts)]
     # Positions run one at a time, so every shape's buffers are prefixes of one set.
     block = np.empty(depth + 2 * window + 1, np.dtype((np.void, dim * dtype.itemsize)))
     floats, coef = block.view(dtype).reshape(-1, dim), np.empty((depth, 1), dtype)
     g = np.empty((depth, dim), dtype)
     context, delta = np.empty(dim, dtype), np.empty(dim, dtype)
-    buffers, repeated, plans = {}, {}, []
-    for doc_row, row in enumerate(rows, n_words + vocab.n_inner_nodes):
-        flat, ends, lengths, positions, counts = [], [], [], [], [0] * (depth + 1)
-        tokens = row.tolist()
+    buffers, repeated, positions = {}, {}, []
+    m = np.empty(lengths.size)
+    for doc_row, row in docs:  # a document at a time: its flat rows are one array
+        flat, ends, doc_positions, tokens = [], [], [], row.tolist()
         for t, word in enumerate(tokens):
             ctx = tokens[max(t - window, 0) : t] + tokens[t + 1 : t + 1 + window]
             uniq, n = sorted(set(ctx)), len(node_rows[word])
@@ -214,48 +222,47 @@ def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim:
             if shape not in buffers:
                 view = floats[: n + len(uniq) + 1]
                 buffers[shape] = (block[: n + len(uniq) + 1], view[:n], view[n:-1], view[-1],
-                                  view[n:], coef[:n, 0], coef[:n], g[:n], context, delta,
-                                  losses[n])
+                                  view[n:], coef[:n, 0], coef[:n], g[:n], context, delta, n)
             weights, repeats = (ones[len(ctx)] if ctx else None), None
             if len(uniq) < len(ctx):  # a word repeats: the weights are its counts
                 key = tuple(map(ctx.count, uniq))
                 if key not in repeated:
                     repeated[key] = np.array(key, dtype), np.array(key, dtype)[:, None]
                 weights, repeats = repeated[key]
-            positions.append((buffers[shape], weights, repeats, m_values[len(ctx) + 1],
-                              neg_signs[word], counts[n]))
-            lengths.append(n)
-            counts[n] += 1
-        if positions:
-            flat, offsets = np.array(flat, np.intp), np.cumsum([0] + counts).tolist()
-            plans.append((
-                [(flat[a:b], *p) for a, b, p in zip([0] + ends, ends, positions)],
-                counts,
-                [offsets[n] + p[-1] for n, p in zip(lengths, positions)],
-                np.array([p[3] for p in positions], np.float64),
-            ))
-    return plans, losses
+            doc_positions.append((buffers[shape], weights, repeats, m_values[len(ctx) + 1],
+                                  neg_signs[word]))
+        m[len(positions) : len(positions) + len(tokens)] = [p[3] for p in doc_positions]
+        flat = np.array(flat, np.intp)
+        positions += [(flat[a:b], *p) for a, b, p in zip([0] + ends, ends, doc_positions)]
+    return positions, m, lengths, doc_ends, losses
 
 
-def _sgd_pass(records: np.ndarray, losses: list[np.ndarray], plan: tuple, lrs, steps) -> float:
-    """One SGD pass over a document through `records`, the parameters as one
+def _sgd_pass(records: np.ndarray, plan: tuple, lrs, steps) -> float:
+    """One SGD pass over the corpus through `records`, the parameters as one
     record per row; returns the summed pre-update position loss. steps[t] is
     -lrs[t] / m, rounded to the model dtype only after dividing. The bits are
     those of the plain update: the gather and the write-back copy whole
     records, each in-place ufunc is the IEEE operation of the plain
-    expression (commuted at most), and a row-wise add.reduce per path length
-    sums each row as a reduce of that row alone does; padded rows would not."""
-    positions, counts, order, _ = plan
+    expression (commuted at most), and np.dot makes the BLAS call matmul
+    would. The positions of path length n write their probabilities into
+    the rows of its loss block in turn. After the pass, one log and one
+    row-wise add.reduce per path length give each position's log-probability
+    (a row of a (k, n) block sums as a reduce of that row alone does; padded
+    rows would not), and the losses are summed as the plain loop does: a
+    document's positions in order from 0.0, then the documents in order from
+    0.0. Pairwise sums (add.reduce, reduceat) would not give those bits."""
+    positions, _, lengths, ends, losses = plan
     one, clip = np.array(1.0, lrs.dtype), np.array(60.0, lrs.dtype)  # 0-d: no scalar casts
-    for (rows, buffers, weights, repeats, m, neg_signs, j), lr, step in zip(positions, lrs, steps):
-        block, nodes, words, doc, tail, coef, coef_col, g, ctx, delta, loss = buffers
+    loss_rows = [iter(loss) for loss in losses]
+    for (rows, buffers, weights, repeats, m, neg_signs), lr, step in zip(positions, lrs, steps):
+        block, nodes, words, doc, tail, coef, coef_col, g, ctx, delta, n = buffers
         records.take(rows, out=block, mode="clip")  # in range; "raise" would buffer `out`
         context = doc
         if weights is not None:
-            context = np.matmul(weights, words, out=ctx)
+            context = np.dot(weights, words, ctx)
             context += doc
             context /= m
-        probs = np.matmul(nodes, context, out=loss[j])  # -s z, then its sigmoid, in place
+        probs = np.dot(nodes, context, next(loss_rows[n]))  # -s z, then its sigmoid, in place
         probs *= neg_signs
         np.minimum(probs, clip, out=probs)
         np.exp(probs, out=probs)
@@ -263,7 +270,7 @@ def _sgd_pass(records: np.ndarray, losses: list[np.ndarray], plan: tuple, lrs, s
         np.divide(one, probs, out=probs)
         np.subtract(one, probs, out=coef)  # d(-log sigmoid(s z)) / dz, over s
         coef *= neg_signs
-        np.matmul(coef, nodes, out=delta)
+        np.dot(coef, nodes, delta)
         delta *= step
         np.multiply(coef_col, context, out=g)
         g *= lr
@@ -274,13 +281,17 @@ def _sgd_pass(records: np.ndarray, losses: list[np.ndarray], plan: tuple, lrs, s
             words += repeats * delta
             doc += delta
         records[rows] = block
-    sums = []
-    for loss, count in zip(losses, counts):
-        if count:
-            sums += np.add.reduce(np.log(loss[:count], out=loss[:count]), axis=1).tolist()
-    total_loss = 0.0
-    for i in order:
-        total_loss -= sums[i]
+    log_sums = np.empty(lengths.size)
+    for n, loss in enumerate(losses):
+        if len(loss):  # boolean indexing runs in corpus order, as the rows do
+            log_sums[lengths == n] = np.add.reduce(np.log(loss, out=loss), axis=1)
+    total_loss, start = 0.0, 0
+    for end in ends:
+        doc_loss = 0.0
+        for log_sum in log_sums[start:end].tolist():
+            doc_loss -= log_sum  # the loop's doc_loss + (-log_sum)
+        total_loss += doc_loss
+        start = end
     return total_loss
 
 
@@ -296,7 +307,9 @@ def train_pvdm(
     Word and document vectors start uniform in [-0.5/dim, 0.5/dim], inner
     node vectors at zero. Documents with no in-vocabulary tokens are skipped
     (counted in a single warning). The three matrices of the model are row
-    blocks of one array.
+    blocks of one array. An epoch is one _sgd_pass over the plan of every
+    document: one schedule call gives its learning rates and steps, and one
+    log and one reduce per path length its losses.
     """
     if len(corpus) == 0:
         raise InputError("cannot train on an empty corpus")
@@ -332,17 +345,14 @@ def train_pvdm(
     if config.epochs == 0 or total_positions == 0:
         return model
 
-    plans, losses = _document_plans(rows, vocab, config.window, dim, dtype)
+    plan = _document_plans(rows, vocab, config.window, dim, dtype)
     records = params.view(np.dtype((np.void, dim * dtype.itemsize))).reshape(-1)
-    total_updates = config.epochs * total_positions
+    total_updates, m = config.epochs * total_positions, plan[1]
     for epoch in range(config.epochs):
-        epoch_loss, done = 0.0, epoch * total_positions
-        for plan in plans:
-            m = plan[3]
-            lr = _linear_decay(config, done + np.arange(m.size), total_updates)
-            steps = (-lr / m).astype(dtype)
-            epoch_loss += _sgd_pass(records, losses, plan, lr.astype(dtype), steps)
-            done += m.size
+        lr = _linear_decay(config, epoch * total_positions + np.arange(total_positions),
+                           total_updates)
+        steps = (-lr / m).astype(dtype)
+        epoch_loss = _sgd_pass(records, plan, lr.astype(dtype), steps)
         mean_loss = epoch_loss / total_positions
         if not np.isfinite(mean_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")

@@ -170,18 +170,43 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _report_number(value, where: str, *, count: bool = False):
+    """value, if it is an accuracy (a number in [0, 1]) or, with `count`, an
+    integer >= 0; a boolean is neither."""
+    if count:
+        ok, expected = isinstance(value, int) and value >= 0, "an integer >= 0"
+    else:
+        ok, expected = isinstance(value, (int, float)) and 0 <= value <= 1, "a number in [0, 1]"
+    if not ok or isinstance(value, bool):
+        raise InputError(f"malformed report JSON: {where} must be {expected}, got {value!r}")
+    return value
+
+
 def report_from_json(text: str) -> EvalReport:
+    """Read report_to_json's text back: accuracies are numbers in [0, 1] and
+    counts integers >= 0. Anything else, JSON nested too deeply included,
+    raises InputError naming what is wrong."""
     try:
         payload = json.loads(text)
-        per_group = {
-            key: (entry["accuracy"], entry["count"])
-            for key, entry in payload["per_group"].items()
-        }
-        return EvalReport(
-            payload["overall_accuracy"], per_group, payload.get("metadata", {})
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over int()'s digit limit
         raise InputError(f"malformed report JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("malformed report JSON: nested too deeply") from None
+    if not (isinstance(payload, dict) and "overall_accuracy" in payload
+            and isinstance(payload.get("per_group"), dict)
+            and isinstance(payload.get("metadata", {}), dict)):
+        raise InputError("malformed report JSON: need an object with overall_accuracy, "
+                         "a per_group object and an optional metadata object")
+    per_group = {}
+    for key, entry in payload["per_group"].items():
+        if not isinstance(entry, dict):
+            raise InputError(f"malformed report JSON: group {key!r} is not an object")
+        per_group[key] = (
+            _report_number(entry.get("accuracy"), f"group {key!r} accuracy"),
+            _report_number(entry.get("count"), f"group {key!r} count", count=True),
+        )
+    overall = _report_number(payload["overall_accuracy"], "overall_accuracy")
+    return EvalReport(overall, per_group, payload.get("metadata", {}))
 
 
 def report_to_csv(report: EvalReport) -> str:

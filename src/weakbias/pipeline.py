@@ -34,6 +34,10 @@ class PipelineConfig:
     class_weights: bool = True
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for stage in ("stage1", "stage2", "words"):  # TrainSpec checks the [train] values
+            self.stage_spec(stage, None)
+
     def stage_spec(self, stage: str, corpus: Corpus | None) -> TrainSpec:
         """Settings of one classifier stage ("stage1", "stage2" or "words"):
         its <stage>_epochs, the shared lr and batch size, the class weights

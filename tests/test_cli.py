@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakbias.classifier import (
     forward_stage1,
@@ -19,12 +22,13 @@ from weakbias.cli import (
     EXIT_NUMERIC,
     EXIT_USAGE,
     build_parser,
+    build_run_config,
     main,
     parse_config_text,
 )
 from weakbias.corpus import SideLabel, load_corpus, save_corpus
 from weakbias.doc2vec import PvdmConfig, load_embeddings, load_model
-from weakbias.errors import NumericError, UsageError
+from weakbias.errors import InputError, NumericError, UsageError
 from weakbias.pipeline import PipelineConfig
 
 from helpers import make_corpus
@@ -390,6 +394,133 @@ class TestConfigResolution:
         monkeypatch.setenv("WEAKBIAS_SEED", "abc")
         code = run("vocab", "--corpus", workspace / "corpus.jsonl")
         assert code == EXIT_USAGE
+
+
+# Values a config file may hold for a key: in-range values, JSON values of
+# every type (inf and nan included), and strings that int(), float() or the
+# boolean words accept or refuse.
+CONFIG_VALUES = st.one_of(
+    st.integers(1, 64),
+    st.floats(1e-4, 1.0),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.sampled_from([True, False, None, [1], {"a": 1}, 1.5, 2.0, float("inf"), float("nan")]),
+    st.sampled_from(["7", " 12 ", "1_000", "1.5", "-3", "0", "1e400", "nan", "inf", "true",
+                     "no", "", "abc", "0x10", "9" * 30]),
+    st.text(alphabet="0123456789.-+e_ xnaift", max_size=8),
+)
+# (section, key) of every settable value: [pvdm] and [train] are the config
+# types' fields, the seed is [run]'s.
+CONFIG_KEYS = (
+    [("pvdm", f.name) for f in dataclasses.fields(PvdmConfig) if f.name != "seed"]
+    + [("train", f.name) for f in dataclasses.fields(PipelineConfig)[1:-1]]
+    + [("run", "seed")]
+)
+
+
+def resolve_config(tmp_path, name, text):
+    """The RunConfig `loso` (a command that reads both [pvdm] and [train])
+    resolves from a config file holding `text`, with its --dump-config."""
+    path, dump = tmp_path / f"{name}.cfg", tmp_path / f"{name}.ini"
+    path.write_text(text, encoding="utf-8")
+    args = build_parser().parse_args(
+        ["loso", "--source", "s", "--config", str(path), "--dump-config", str(dump)]
+    )
+    return build_run_config(args), dump
+
+
+class TestConfigValues:
+    """A section value is refused with a usage error naming its key unless it
+    is of the key's type: an int key takes a JSON integer or a string int()
+    accepts, never a boolean, a fraction or a float; a float key takes a
+    number. The config types refuse a rate that is not finite, from a file
+    as from a flag: an input error."""
+
+    @pytest.mark.parametrize("value", ["1e400", "1.5", "true", "2.0", '"1.5"', "[4]",
+                                       "null", "1" * 5000])
+    def test_bad_json_int_exits_two(self, workspace, tmp_path, capsys, value):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"pvdm": {"dim": %s}}' % value)
+        code = run("train-text", "--corpus", workspace / "corpus.jsonl", "--config", config,
+                   "--model-out", tmp_path / "t.pv")
+        err = capsys.readouterr().err.strip()
+        assert code == EXIT_USAGE and err.startswith("error: usage:") and "\n" not in err
+        assert "[pvdm] dim" in err or "not valid JSON" in err
+        assert not (tmp_path / "t.pv").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("[pvdm]\ndim = 1.5\n", "[pvdm] dim"),
+        ("[pvdm]\ndim = true\n", "[pvdm] dim"),
+        ('{"run": {"seed": true}}', "[run] seed"),
+        ('{"run": {"seed": 7.0}}', "[run] seed"),
+        ('{"pvdm": {"final_lr": false}}', "[pvdm] final_lr"),
+        ('{"train": {"lr": "fast"}}', "[train] lr"),
+    ])
+    def test_value_of_the_wrong_type_names_its_key(self, tmp_path, text, key):
+        with pytest.raises(UsageError, match=re.escape(key)):
+            resolve_config(tmp_path, "bad", text)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"pvdm": {"initial_lr": Infinity}}', "final_lr <= initial_lr < inf, got 0.0001 / inf"),
+        ('{"pvdm": {"initial_lr": 1e400}}', "final_lr <= initial_lr < inf, got 0.0001 / inf"),
+        ("[pvdm]\nfinal_lr = nan\n", "final_lr <= initial_lr < inf, got nan / 0.025"),
+        ("[train]\nlr = nan\n", "must be finite and > 0, got nan"),
+        ('{"train": {"lr": -Infinity}}', "must be finite and > 0, got -inf"),
+    ])
+    def test_non_finite_float_is_an_input_error(self, tmp_path, text, message):
+        """The config types' check, which flags reach too (TestExitCodes): exit 3."""
+        with pytest.raises(InputError, match=re.escape(message)):
+            resolve_config(tmp_path, "bad", text)
+
+    @pytest.mark.parametrize("flag", ["--initial-lr=inf", "--initial-lr=nan", "--final-lr=nan"])
+    def test_non_finite_pvdm_rate_flag_exits_three(self, workspace, tmp_path, capsys, flag):
+        """As the same value in a config file does, before anything trains."""
+        code = run("train-text", "--corpus", workspace / "corpus.jsonl", flag,
+                   "--model-out", tmp_path / "t.pv")
+        assert code == EXIT_INPUT
+        assert "final_lr <= initial_lr < inf" in capsys.readouterr().err
+        assert not (tmp_path / "t.pv").exists()
+
+    @pytest.mark.parametrize("text, dim", [
+        ('{"pvdm": {"dim": 12}}', 12), ('{"pvdm": {"dim": "12"}}', 12),
+        ("[pvdm]\ndim = 12\n", 12), ("[pvdm]\ndim =  1_2 \n", 12),
+    ])
+    def test_integers_are_read(self, tmp_path, text, dim):
+        config, _ = resolve_config(tmp_path, "good", text)
+        assert config.pipeline.pvdm.dim == dim
+
+    @given(
+        ini=st.booleans(),
+        values=st.lists(
+            st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(ini=False, values=[(("pvdm", "dim"), float("inf"))])  # int(inf): OverflowError
+    @example(ini=True, values=[(("train", "lr"), "nan")])  # would not equal itself once read back
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_values_are_refused_or_round_trip(self, tmp_path_factory, ini, values):
+        """Each config text with mutated values raises UsageError or
+        InputError, or resolves to a config whose --dump-config, read back,
+        resolves to the same config."""
+        sections = {}
+        for (section, key), value in values:
+            sections.setdefault(section, {})[key] = value
+        if ini:
+            text = "".join(
+                f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                for section, body in sections.items()
+            )
+        else:
+            text = json.dumps(sections)
+        tmp_path = tmp_path_factory.mktemp("cfg")
+        try:
+            config, dump = resolve_config(tmp_path, "first", text)
+        except (UsageError, InputError):
+            return
+        again, _ = resolve_config(tmp_path, "second", dump.read_text(encoding="utf-8"))
+        assert again == config
 
 
 class TestMakeSynthetic:

@@ -137,6 +137,14 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match=f"^line 1: unsupported version {version!r}$"):
             load_corpus(path)
 
+    def test_header_int_over_the_digit_limit_is_an_input_error(self, tmp_path):
+        """json.loads raises ValueError, not JSONDecodeError, on an integer
+        of more digits than int() reads."""
+        header = '{"format": "weakbias-corpus", "version": 1, "feature_dim": %s}' % ("1" * 5000)
+        path = self.write(tmp_path, [header, self.record("x", [1.0])])
+        with pytest.raises(InputError, match="^line 1: header is not valid JSON: .*digits"):
+            load_corpus(path)
+
     def test_header_only_corpus_is_empty(self, tmp_path):
         corpus = load_corpus(self.write(tmp_path, [self.header()]))
         assert len(corpus) == 0

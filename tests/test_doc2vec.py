@@ -247,10 +247,12 @@ class TestTraining:
         assert model.word_vectors.dtype == np.float64
 
 
-def reference_train(corpus, config, dtype):
+def reference_train(corpus, config, dtype, position_losses=None):
     """The per-position, per-matrix SGD loop that train_pvdm restructures:
     the oracle its vectors and losses are compared against bit for bit.
-    Returns (word, node, doc vectors, epoch losses)."""
+    Returns (word, node, doc vectors, epoch losses). A `position_losses` list
+    gets, per epoch, a list of each document's position losses."""
+    position_losses = [] if position_losses is None else position_losses
     vocab = build_vocabulary(corpus, config.min_count)
     dim = config.dim
     rng = np.random.default_rng(derive_seed(config.seed, "pvdm-init"))
@@ -267,10 +269,12 @@ def reference_train(corpus, config, dtype):
     update = 0
     for _ in range(config.epochs if total else 0):
         epoch_loss = 0.0
+        position_losses.append([])
         for doc_row, row in zip(doc_vectors, token_rows):
             if row.size == 0:
                 continue
             doc_loss = 0.0
+            position_losses[-1].append([])
             for target, uniq, repeats, m in position_plan(row, config.window, dtype):
                 if m > 1:
                     words = word_vectors[uniq]
@@ -283,6 +287,7 @@ def reference_train(corpus, config, dtype):
                     context, nodes, vocab.codes[target]
                 )
                 doc_loss += loss
+                position_losses[-1][-1].append(loss)
                 frac = min(update / (config.epochs * total), 1.0)
                 lr = config.initial_lr - (config.initial_lr - config.final_lr) * frac
                 delta = grad_context * (-lr / m)
@@ -306,7 +311,7 @@ def training_cases(draw):
         st.lists(
             st.lists(st.integers(0, n_words), min_size=1, max_size=14),
             min_size=1,
-            max_size=5,
+            max_size=12,  # enough documents that several share a path length
         )
     )
     rows = [
@@ -354,6 +359,21 @@ class TestTrainingOracle:
         np.testing.assert_array_equal(model.word_vectors, words)
         np.testing.assert_array_equal(model.node_vectors, nodes)
         np.testing.assert_array_equal(model.doc_vectors, docs)
+        assert model.epoch_losses == losses
+
+    def test_document_losses_sum_in_position_order(self):
+        """Float64 documents whose pairwise add.reduce of position losses
+        differs from the sequential sum enough to move the epoch loss: a
+        trainer that summed a document's losses pairwise would fail here."""
+        corpus = two_topic_corpus(n_docs=2, tokens_per_doc=16, seed=0)
+        config = PvdmConfig(dim=4, window=2, epochs=1, min_count=1, seed=0)
+        model = train_pvdm(corpus, config, dtype=np.float64)
+        position_losses = []
+        *_, losses = reference_train(corpus, config, np.float64, position_losses)
+        pairwise = 0.0
+        for doc_losses in position_losses[0]:
+            pairwise += float(np.add.reduce(doc_losses))
+        assert pairwise / sum(map(len, position_losses[0])) != losses[0]
         assert model.epoch_losses == losses
 
 
@@ -583,26 +603,29 @@ class TestDocumentPlans:
     @settings(max_examples=150, deadline=None)
     def test_positions_match_the_position_plan(self, case):
         """Every position's rows (ids and order), path length, weights,
-        repeats, m and signs equal position_plan's; its loss row and the
-        document's loss order index its path length's rows in position order."""
+        repeats, m and signs equal position_plan's, in corpus order; each path
+        length's loss block has a row for each of its positions in the corpus,
+        and the path lengths and document ends are flat, one per position and
+        one per non-empty document."""
         model, docs = case
         vocab, dtype, dim = model.vocabulary, model.word_vectors.dtype, model.dim
         n_words = len(vocab)
-        plans, losses = _document_plans(
+        positions, m_float, lengths, ends, losses = _document_plans(
             document_rows(model, docs), vocab, model.config.window, dim, dtype
         )
-        assert len(plans) == len(docs)  # the empty document has none
-        assert [loss.shape[1] for loss in losses] == list(range(len(losses)))
-        shared = {}
-        for i, (doc, (positions, counts, order, m_float)) in enumerate(zip(docs, plans)):
+        assert len(positions) == m_float.size == lengths.size == sum(len(doc) for doc in docs)
+        assert m_float.dtype == np.float64 and lengths.dtype == np.int8
+        assert ends == np.cumsum([len(doc) for doc in docs]).tolist()  # the empty one has none
+        expected_lengths = []
+        shared, counts, at = {}, [0] * len(losses), 0
+        for i, doc in enumerate(docs):
             doc_row = n_words + vocab.n_inner_nodes + i + 1
-            oracle = position_plan(doc, model.config.window, dtype)
-            assert len(positions) == len(oracle) == len(order) == m_float.size
-            offsets = np.cumsum([0] + counts)
-            seen = [0] * len(counts)
-            for t, (position, (target, uniq, repeats_t, m_t)) in enumerate(zip(positions, oracle)):
-                rows, buffers, weights, repeats, m, neg_signs, j = position
+            for t, (target, uniq, repeats_t, m_t) in enumerate(
+                position_plan(doc, model.config.window, dtype)
+            ):
+                rows, buffers, weights, repeats, m, neg_signs = positions[at]
                 n = vocab.paths[target].size
+                expected_lengths.append(n)
                 expected_rows = np.concatenate([vocab.paths[target] + n_words, uniq, [doc_row]])
                 assert rows.dtype == np.intp
                 np.testing.assert_array_equal(rows, expected_rows)
@@ -619,12 +642,29 @@ class TestDocumentPlans:
                     assert repeats is None
                 else:
                     np.testing.assert_array_equal(repeats, repeats_t[:, None])
-                assert m == m_t and m.dtype == dtype and m_float[t] == m_t
+                assert m == m_t and m.dtype == dtype and m_float[at] == m_t
                 np.testing.assert_array_equal(neg_signs, 2.0 * vocab.codes[target] - 1.0)
-                assert buffers[-1] is losses[n] and j == seen[n]
-                assert order[t] == offsets[n] + j
-                seen[n] += 1
-            assert seen == counts
+                assert buffers[-1] == n
+                counts[n] += 1
+                at += 1
+        np.testing.assert_array_equal(lengths, expected_lengths)
+        assert [loss.shape for loss in losses] == [(k, n) for n, k in enumerate(counts)]
+
+    def test_size_follows_the_positions_not_the_longest_document(self):
+        """One document 2,000 tokens long among 500 of 2 tokens: the flat
+        arrays hold one entry per position and the loss blocks one float per
+        path node, where a (documents, longest) table would hold 1,002,000."""
+        model = random_model(9, 4, 2, np.float32, 5)
+        rng = np.random.default_rng(0)
+        docs = [rng.integers(0, 9, 2000)] + [rng.integers(0, 9, 2) for _ in range(500)]
+        positions, m_float, lengths, ends, losses = _document_plans(
+            document_rows(model, docs), model.vocabulary, 2, 4, np.dtype(np.float32)
+        )
+        total = 2000 + 500 * 2
+        assert len(positions) == m_float.size == lengths.size == total == ends[-1]
+        assert len(ends) == len(docs)
+        path_nodes = sum(model.vocabulary.paths[t].size for doc in docs for t in doc.tolist())
+        assert sum(loss.size for loss in losses) == path_nodes
 
 
 class TestBatchedInference:

@@ -1,8 +1,10 @@
 """Accuracy reports, group breakdowns, and retraining protocols."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_corpus, make_sample
@@ -246,6 +248,50 @@ class TestTruncationSweep:
             sentence_truncation_sweep(train, test, [0], centroid_pipeline)
 
 
+# Values a report field may be mutated to: JSON values of every type.
+REPORT_VALUES = st.one_of(
+    st.floats(0, 1),
+    st.integers(0, 50),
+    st.floats(),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+)
+
+
+@st.composite
+def mutated_reports(draw):
+    """report_to_json's text of a drawn report, with one to three fields
+    replaced or removed, and sometimes cut short."""
+    groups = draw(st.dictionaries(
+        st.text(max_size=3), st.tuples(st.floats(0, 1), st.integers(0, 50)), max_size=3
+    ))
+    payload = {
+        "overall_accuracy": draw(st.floats(0, 1)),
+        "per_group": {k: {"accuracy": a, "count": c} for k, (a, c) in groups.items()},
+        "metadata": {"seed": 7},
+    }
+    fields = [("overall_accuracy",), ("per_group",), ("metadata",)] + [
+        ("per_group", group, key) for group in groups for key in ("accuracy", "count")
+    ]
+    chosen = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+    for *parents, key in sorted(chosen, key=len, reverse=True):  # inner fields first
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        if draw(st.integers(0, 4)) == 0:
+            del target[key]
+        else:
+            target[key] = draw(REPORT_VALUES)
+    text = json.dumps(payload)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
 class TestReportSerialization:
     def test_json_round_trip(self):
         report = group_accuracy(
@@ -260,6 +306,47 @@ class TestReportSerialization:
             report_from_json("{not json")
         with pytest.raises(InputError, match="malformed report"):
             report_from_json('{"overall_accuracy": 1.0}')
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"overall_accuracy": 1.0, "per_group": []}', "per_group object"),
+        ("[" * 100_000, "nested too deeply"),
+        ('{"overall_accuracy": "x", "per_group": {}}', "overall_accuracy must be a number"),
+        ('{"overall_accuracy": 1.5, "per_group": {}}', "overall_accuracy must be a number"),
+        ('{"overall_accuracy": NaN, "per_group": {}}', "overall_accuracy must be a number"),
+        ('{"overall_accuracy": 1, "per_group": {"a": {"accuracy": true, "count": 1}}}',
+         "group 'a' accuracy"),
+        ('{"overall_accuracy": 1, "per_group": {"a": {"accuracy": 1, "count": 1.5}}}',
+         "group 'a' count must be an integer >= 0"),
+        ('{"overall_accuracy": 1, "per_group": {"a": {"accuracy": 1, "count": -1}}}',
+         "group 'a' count"),
+        ('{"overall_accuracy": 1, "per_group": {"a": {"accuracy": 1, "count": false}}}',
+         "group 'a' count"),
+        ('{"overall_accuracy": 1, "per_group": {"a": {"accuracy": 1}}}', "group 'a' count"),
+        ('{"overall_accuracy": 1, "per_group": {"a": [1, 2]}}', "group 'a' is not an object"),
+        ('{"overall_accuracy": 1, "per_group": {}, "metadata": []}', "metadata object"),
+        ('{"overall_accuracy": 1, "per_group": {}, "n": %s}' % ("1" * 5000), "digits"),
+        ("[1]", "need an object"),
+    ])
+    def test_bad_reports_name_what_is_wrong(self, text, message):
+        with pytest.raises(InputError, match="malformed report JSON") as info:
+            report_from_json(text)
+        assert message in str(info.value)
+
+    @given(text=mutated_reports())
+    @example(text='{"overall_accuracy": 0.5, "per_group": {"a": {"accuracy": NaN, "count": 1}}}')
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_reports_are_refused_or_round_trip(self, text):
+        """A report text with mutated fields, or cut short, raises InputError
+        or loads to a report of accuracies in [0, 1] and int counts that
+        writes and reads back to itself."""
+        try:
+            report = report_from_json(text)
+        except InputError:
+            return
+        for accuracy_, count in [(report.overall_accuracy, 0), *report.per_group.values()]:
+            assert 0 <= accuracy_ <= 1 and type(accuracy_) in (int, float)
+            assert type(count) is int and count >= 0
+        assert report_from_json(report_to_json(report)) == report
 
     def test_csv_rows_in_report_order(self):
         report = EvalReport(0.5, {"b": (0.5, 4), "a": (0.25, 4)})
