@@ -14,7 +14,6 @@ from .classifier import (
     build_model,
     forward_stage1,
     load_checkpoint,
-    predict,
     predict_batch,
     rank_images_for_word,
     save_checkpoint,
@@ -50,8 +49,6 @@ from .dedup import (
 from .doc2vec import (
     PvdmConfig,
     PvdmModel,
-    hs_probability,
-    infer_document,
     infer_documents,
     load_embeddings,
     load_model,

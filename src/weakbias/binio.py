@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import InputError
 
+U32_MAX = 2**32 - 1  # the largest count or size a u32 field of a file holds
+
 
 @contextmanager
 def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:

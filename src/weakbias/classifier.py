@@ -53,9 +53,6 @@ class TrainSpec:
     epochs: int
     lr: float = 1e-4
     batch_size: int = 64
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     class_weights: ClassWeights | None = None
     seed: int = 0
 
@@ -66,9 +63,6 @@ class TrainSpec:
             raise InputError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise InputError(f"batch size must be >= 1, got {self.batch_size}")
-
-    def optimizer(self) -> Adam:
-        return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
 
 @dataclass
@@ -273,17 +267,17 @@ def word_head_loss_and_grads(
     return _fused_head_grads(model, model.word_head, "word", features, text, loss_fn)
 
 
-def _training_data(corpus: Corpus, spec: TrainSpec, dtype):
+def _training_data(corpus: Corpus, spec: TrainSpec):
     """Features, side labels and per-sample loss weights of a non-empty
-    corpus; the weights are all 1 without class weights."""
+    corpus, in float32; the weights are all 1 without class weights."""
     if len(corpus) == 0:
         raise InputError("cannot train on an empty corpus")
-    features = corpus.features().astype(dtype, copy=False)
+    features = corpus.features().astype(np.float32, copy=False)
     labels = np.array([_SIDE_INDEX[s.side] for s in corpus], dtype=np.int64)
     if spec.class_weights is None:
-        return features, labels, np.ones(len(corpus), dtype=dtype)
+        return features, labels, np.ones(len(corpus), dtype=np.float32)
     weights = [spec.class_weights.of(s.side) for s in corpus]
-    return features, labels, np.array(weights, dtype=dtype)
+    return features, labels, np.array(weights, dtype=np.float32)
 
 
 def embedding_matrix(
@@ -317,7 +311,7 @@ def _fit(model: BiasModel, key: str, spec: TrainSpec, loss_and_grads, *arrays):
     model.history[key]. Returns the model."""
     order_seed, name = _FITS[key]
     order = np.random.default_rng(derive_seed(spec.seed, order_seed))
-    adam = spec.optimizer()
+    adam = Adam(lr=spec.lr)
     params = model.parameters()
     n = len(arrays[0])
     losses = []
@@ -343,36 +337,26 @@ def train_stage1(
     *,
     hidden: int = 256,
     fused: int = 256,
-    model: BiasModel | None = None,
-    dtype=np.float32,
 ) -> BiasModel:
     """Jointly train trunk, fusion, and the stage-1 head on image features
     plus per-document embeddings."""
-    features, labels, weights = _training_data(corpus, spec, dtype)
-    text = embedding_matrix(corpus.samples, embeddings, dtype)
-    if model is None:
-        model = build_model(
-            corpus.feature_dim,
-            hidden=hidden,
-            fused=fused,
-            text_dim=text.shape[1],
-            seed=spec.seed,
-            dtype=dtype,
-        )
+    features, labels, weights = _training_data(corpus, spec)
+    text = embedding_matrix(corpus.samples, embeddings, np.float32)
+    model = build_model(
+        corpus.feature_dim, hidden=hidden, fused=fused, text_dim=text.shape[1], seed=spec.seed
+    )
     loss_and_grads = partial(stage1_loss_and_grads, model)
     return _fit(model, "stage1", spec, loss_and_grads, features, text, labels, weights)
 
 
-def train_stage2(
-    model: BiasModel, corpus: Corpus, spec: TrainSpec, *, dtype=np.float32
-) -> BiasModel:
+def train_stage2(model: BiasModel, corpus: Corpus, spec: TrainSpec) -> BiasModel:
     """Freeze the stage-1 parameters and fit a fresh linear head on the
     trunk output alone. The returned model's trunk, fusion, and stage-1
     head are bit-identical to the input's."""
-    features, labels, weights = _training_data(corpus, spec, dtype)
+    features, labels, weights = _training_data(corpus, spec)
     out = model.copy()
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
-    out.head2 = Affine.create(init, out.hidden_dim, 2, dtype)
+    out.head2 = Affine.create(init, out.hidden_dim, 2, np.float32)
     trunk_out = _trunk_forward(out, features)[-1]  # frozen: compute once
     loss_and_grads = partial(stage2_loss_and_grads, out.head2)
     return _fit(out, "stage2", spec, loss_and_grads, trunk_out, labels, weights)
@@ -385,21 +369,15 @@ def train_image_only(
     hidden: int = 256,
     fused: int = 256,
     text_dim: int = 200,
-    dtype=np.float32,
 ) -> BiasModel:
     """Direct baseline: the same trunk and linear head as stage 2, but
     trained end to end on features alone, with no text stage."""
-    features, labels, weights = _training_data(corpus, spec, dtype)
+    features, labels, weights = _training_data(corpus, spec)
     model = build_model(
-        corpus.feature_dim,
-        hidden=hidden,
-        fused=fused,
-        text_dim=text_dim,
-        seed=spec.seed,
-        dtype=dtype,
+        corpus.feature_dim, hidden=hidden, fused=fused, text_dim=text_dim, seed=spec.seed
     )
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
-    model.head2 = Affine.create(init, hidden, 2, dtype)
+    model.head2 = Affine.create(init, hidden, 2, np.float32)
     loss_and_grads = partial(image_only_loss_and_grads, model)
     return _fit(model, "image-only", spec, loss_and_grads, features, labels, weights)
 
@@ -411,16 +389,6 @@ def argmax_sides(scores: np.ndarray) -> list[SideLabel]:
     return [_INDEX_SIDE[0 if is_left else 1] for is_left in left.tolist()]
 
 
-def _first_prediction(probs: np.ndarray) -> tuple[SideLabel, float]:
-    side = argmax_sides(probs[:1])[0]
-    return side, float(probs[0, _SIDE_INDEX[side]])
-
-
-def predict(model: BiasModel, feature) -> tuple[SideLabel, float]:
-    """Image-only prediction through the stage-2 head."""
-    return _first_prediction(predict_batch(model, feature)[1])
-
-
 def predict_batch(model: BiasModel, features) -> tuple[list[SideLabel], np.ndarray]:
     """Stage-2 predictions for a feature matrix: (labels, softmax probs)."""
     if model.head2 is None:
@@ -429,12 +397,6 @@ def predict_batch(model: BiasModel, features) -> tuple[list[SideLabel], np.ndarr
     trunk_out = _trunk_forward(model, x)[-1]
     probs = softmax(trunk_out @ model.head2.W + model.head2.b)
     return argmax_sides(probs), probs
-
-
-def predict_stage1(model: BiasModel, feature, doc_embedding) -> tuple[SideLabel, float]:
-    """Prediction through the stage-1 head, which needs the text embedding."""
-    logits = forward_stage1(model, feature, doc_embedding)
-    return _first_prediction(softmax(np.atleast_2d(logits)))
 
 
 def ablate_zero_text(model: BiasModel) -> BiasModel:
@@ -491,8 +453,6 @@ def train_word_head(
     embeddings: dict[str, np.ndarray],
     words: list[str],
     spec: TrainSpec,
-    *,
-    dtype=np.float32,
 ) -> BiasModel:
     """Fit a multi-label presence head for the given words on the fusion
     output, with trunk and fusion trainable; the side heads are untouched.
@@ -501,14 +461,14 @@ def train_word_head(
         raise InputError("visual-word list is empty")
     if len(set(words)) != len(words):
         raise InputError("visual-word list contains duplicates")
-    features = _training_data(corpus, spec, dtype)[0]
+    features = _training_data(corpus, spec)[0]
     out = model.copy()
     init = np.random.default_rng(derive_seed(spec.seed, "word-head-init"))
-    out.word_head = Affine.create(init, out.fused_dim, len(words), dtype)
+    out.word_head = Affine.create(init, out.fused_dim, len(words), np.float32)
     out.visual_words = list(words)
-    text = embedding_matrix(corpus.samples, embeddings, dtype)
+    text = embedding_matrix(corpus.samples, embeddings, np.float32)
     index = {word: j for j, word in enumerate(words)}
-    targets = np.zeros((len(corpus), len(words)), dtype=dtype)
+    targets = np.zeros((len(corpus), len(words)), dtype=np.float32)
     for i, sample in enumerate(corpus):
         for word in set(sample.tokens):
             j = index.get(word)

@@ -14,7 +14,8 @@ each flag sets exactly one key: --epochs is [pvdm] epochs on train-text and
 [train] stage1_epochs, stage2_epochs or words_epochs on train-stage1,
 train-stage2 or train-words, while the pipeline commands (truncation-sweep,
 loso) spell the PV-DM one --pvdm-epochs. A command resolves, validates and
-dumps only the sections it has flags for.
+dumps only the sections it has flags for. make-synthetic's flags are
+likewise the fields of SyntheticSpec.
 
 Progress goes to stderr (JSON lines with --json-logs), results to stdout
 or the requested output file. Exit codes: 0 success, 2 usage, 3 input,
@@ -271,11 +272,14 @@ def _require_input(path: str, what: str) -> str:
 
 
 def _resolve_path(args, file_cfg: dict, name: str) -> str | None:
+    """A path's flag, else its [paths] key, which must be a string."""
     value = getattr(args, name, None)
     if value is None:
         paths = {str(k).lower(): v for k, v in file_cfg.get("paths", {}).items()}
         value = paths.get(name)
-    return None if value is None else str(value)
+        if name in paths and not isinstance(value, str):
+            raise UsageError(f"bad value {value!r} for [paths] {name}: expected a string")
+    return value
 
 
 def build_run_config(
@@ -663,11 +667,7 @@ def _cmd_eval(args, progress: Progress) -> int:
 
 def _cmd_make_synthetic(args, progress: Progress) -> int:
     config = build_run_config(args, outputs=("out",))
-    fields = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(SyntheticSpec)
-        if f.name != "seed" and getattr(args, f.name, None) is not None
-    }
+    fields = {name: getattr(args, name) for name in _synthetic_fields()}
     spec = SyntheticSpec(seed=config.pipeline.seed, **fields)
     corpus = make_synthetic(spec)
     save_corpus(corpus, config.paths["out"])
@@ -847,22 +847,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-synthetic", parents=[common],
                        help="generate the synthetic benchmark corpus")
     p.add_argument("--out")
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=200)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--signal-dims", dest="signal_dims", type=int)
-    p.add_argument("--signal-scale", dest="signal_scale", type=float)
-    p.add_argument("--signal-noise", dest="signal_noise", type=float)
-    p.add_argument("--nuisance-scale", dest="nuisance_scale", type=float)
-    p.add_argument("--label-correlation", dest="label_correlation", type=float)
-    p.add_argument("--left-fraction", dest="left_fraction", type=float)
-    p.add_argument("--words-per-topic", dest="words_per_topic", type=int)
-    p.add_argument("--shared-words", dest="shared_words", type=int)
-    p.add_argument("--sentences-per-doc", dest="sentences_per_doc", type=int)
-    p.add_argument("--words-per-sentence", dest="words_per_sentence", type=int)
-    p.add_argument("--topic-sentence-anywhere", dest="topic_sentence_last",
-                   action="store_const", const=False,
-                   help="spread topic words over all sentences, not just the last")
-    p.add_argument("--sources-per-side", dest="sources_per_side", type=int)
+    for name, default in _synthetic_fields().items():
+        if name == "topic_sentence_last":
+            p.add_argument("--topic-sentence-anywhere", dest=name, action="store_const",
+                           const=False, default=default,
+                           help="spread topic words over all sentences, not just the last")
+        else:
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default),
+                           default=default)
     p.set_defaults(func=_cmd_make_synthetic)
 
     return parser
@@ -883,6 +875,14 @@ def _section_flags(p: argparse.ArgumentParser, section: str, names: str, **spell
         else:
             p.add_argument(f"--{flag}", dest=dest, type=kind, metavar=name.upper(),
                            help=f"sets [{section}] {name}")
+
+
+def _synthetic_fields() -> dict[str, object]:
+    """make-synthetic's flag defaults: every SyntheticSpec field but the seed,
+    which is --seed, with the spec's default, and 200 samples."""
+    fields = dataclasses.fields(SyntheticSpec)
+    return {f.name: 200 if f.name == "n_samples" else f.default
+            for f in fields if f.name != "seed"}
 
 
 def _pipeline_flags(p: argparse.ArgumentParser) -> None:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binio import (
+    U32_MAX,
     atomic_write,
     expect_magic,
     read_matrix,
@@ -71,8 +72,8 @@ class PvdmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InputError(f"dim must be >= 1, got {self.dim}")
+        if not 1 <= self.dim <= U32_MAX:  # the model file stores it as a u32
+            raise InputError(f"dim must be in [1, {U32_MAX}], got {self.dim}")
         if self.window < 1:
             raise InputError(f"window must be >= 1, got {self.window}")
         if self.epochs < 0:
@@ -100,77 +101,6 @@ class PvdmModel:
     def dim(self) -> int:
         return self.word_vectors.shape[1]
 
-    def doc_vector(self, doc_id: str) -> np.ndarray:
-        if doc_id not in self._doc_index:
-            raise InputError(f"unknown document id {doc_id!r}")
-        return self.doc_vectors[self._doc_index[doc_id]]
-
-    def __post_init__(self) -> None:
-        self._doc_index = {d: i for i, d in enumerate(self.doc_ids)}
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Clipping -x at 60 keeps exp() finite. No clip at -60 is needed: below
-    # it exp(-x) < 1e-26, so 1 + exp(-x) rounds to 1 in float32 and float64
-    # alike, as it would with a clip.
-    return 1.0 / (1.0 + np.exp(np.minimum(-x, 60.0)))
-
-
-def path_gradients(
-    context: np.ndarray, nodes: np.ndarray, bits: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and gradients of -log p(word | context) along one tree path.
-
-    Returns (loss, d_loss/d_context, d_loss/d_nodes). `nodes` holds the
-    inner-node vectors on the word's path, `bits` its code (0 = left).
-    """
-    z = nodes @ context
-    signs = 1.0 - 2.0 * np.asarray(bits, dtype=z.dtype)
-    probs = _sigmoid(signs * z)
-    loss = -float(np.add.reduce(np.log(probs)))  # = the sum of -log, exactly
-    coef = (probs - 1.0) * signs  # d(-log sigmoid(s z)) / dz
-    grad_context = coef @ nodes
-    grad_nodes = coef[:, None] * context  # np.outer, without its overhead
-    return loss, grad_context, grad_nodes
-
-
-def position_loss(
-    doc_vec: np.ndarray,
-    context_word_vecs: np.ndarray,
-    nodes: np.ndarray,
-    bits: np.ndarray,
-) -> float:
-    """-log p(target | mean of doc vector and window word vectors).
-
-    Pure function of its inputs; the trainer's updates are the gradients of
-    exactly this quantity.
-    """
-    m = len(context_word_vecs) + 1
-    context = (doc_vec + context_word_vecs.sum(axis=0)) / m if m > 1 else doc_vec
-    z = nodes @ context
-    signs = 1.0 - 2.0 * bits.astype(z.dtype)
-    return float(-np.log(_sigmoid(signs * z)).sum())
-
-
-def hs_probability(model: PvdmModel, context: np.ndarray, word: str) -> float:
-    """p(word | context) under the hierarchical softmax, computed in float64."""
-    vocab = model.vocabulary
-    if word not in vocab:
-        raise InputError(f"word {word!r} is not in the vocabulary")
-    idx = vocab.index[word]
-    path = vocab.paths[idx]
-    if path.size == 0:
-        return 1.0  # degenerate single-word vocabulary
-    context = np.asarray(context, dtype=np.float64)
-    if context.shape != (model.dim,):
-        raise InputError(
-            f"context must have shape ({model.dim},), got {context.shape}"
-        )
-    nodes = model.node_vectors[path].astype(np.float64)
-    z = nodes @ context
-    signs = 1.0 - 2.0 * vocab.codes[idx].astype(np.float64)
-    return float(np.prod(_sigmoid(signs * z)))
-
 
 def _linear_decay(config: PvdmConfig, done, total) -> np.ndarray:
     """Learning rate (float64) after `done` of `total` updates, elementwise."""
@@ -188,14 +118,18 @@ def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim:
     document's positions end at its end offset. The loss rows are one
     (count, n) block per path length n, a row for each position of length n
     in the corpus. All of it grows with the positions, not with the longest
-    document. A position is (params rows: path nodes, sorted unique window
-    words, document; the buffers shared with the positions of its n and u
-    unique window words, then n; weights, None if m == 1; repeats as a
-    column, None if all are 1; m; 2 bits - 1)."""
+    document; a window wider than the longest document sees the words of
+    one of that length less one, so the tables are sized by that. A position
+    is (params rows: path nodes, sorted unique window words, document; the
+    buffers shared with the positions of its n and u unique window words,
+    then n; weights, None if m == 1; repeats as a column, None if all are 1;
+    m; 2 bits - 1)."""
     n_words, depth = len(vocab), max(p.size for p in vocab.paths)
     node_rows = [(p + n_words).tolist() for p in vocab.paths]
     neg_signs = [2.0 * c.astype(dtype) - 1.0 for c in vocab.codes]
-    ones = [np.ones(k, dtype) for k in range(2 * window + 1)]
+    window = min(window, max(row.size for row in rows) - 1)
+    ones = np.ones(2 * window, dtype)
+    ones = [ones[:k] for k in range(2 * window + 1)]  # views: memory linear in the window
     m_values = [dtype.type(m) for m in range(2 * window + 2)]
     docs = [(doc_row, row) for doc_row, row in enumerate(rows, n_words + vocab.n_inner_nodes)
             if row.size]
@@ -264,7 +198,7 @@ def _sgd_pass(records: np.ndarray, plan: tuple, lrs, steps) -> float:
             context /= m
         probs = np.dot(nodes, context, next(loss_rows[n]))  # -s z, then its sigmoid, in place
         probs *= neg_signs
-        np.minimum(probs, clip, out=probs)
+        np.minimum(probs, clip, out=probs)  # exp() stays finite; below -60, 1 + exp rounds to 1
         np.exp(probs, out=probs)
         probs += one
         np.divide(one, probs, out=probs)
@@ -465,7 +399,7 @@ def infer_documents(
             np.matmul(nodes, doc, out=v)
             v += z_t
             v *= a_t
-            np.minimum(v, clip, out=v)  # finite, as in _sigmoid
+            np.minimum(v, clip, out=v)  # keeps exp() finite, as in training
             np.exp(v, out=v)
             v += one
             np.divide(numer_t, v, out=v)
@@ -473,16 +407,6 @@ def infer_documents(
     if not np.all(np.isfinite(vecs)):
         raise NumericError("inference produced a non-finite document vector")
     return vecs[np.argsort(order, kind="stable")]  # stable, as above: other kinds page in code
-
-
-def infer_document(
-    model: PvdmModel,
-    tokens: list[str],
-    steps: int = 50,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Embed one unseen document: infer_documents on a batch of one."""
-    return infer_documents(model, [tokens], steps, [seed])[0]
 
 
 def nearest_words(
@@ -496,7 +420,7 @@ def nearest_words(
 ) -> list[tuple[str, float]]:
     """Vocabulary words closest (cosine) to the embedded query.
 
-    The query is embedded with infer_document by default; embed="average"
+    The query is embedded with infer_documents by default; embed="average"
     uses the mean of the query's word vectors instead. Query tokens are
     excluded from the ranking.
     """
@@ -505,7 +429,7 @@ def nearest_words(
     if n <= 0:
         return []
     if embed == "infer":
-        query_vec = infer_document(model, query_tokens, steps=steps, seed=seed)
+        query_vec = infer_documents(model, [query_tokens], steps, [seed])[0]
     else:
         vocab = model.vocabulary
         idx = [vocab.index[t] for t in query_tokens if t in vocab.index]

@@ -11,9 +11,11 @@ import dataclasses
 
 import numpy as np
 
+from .binio import U32_MAX
 from .classifier import BiasModel, TrainSpec, predict_batch, train_stage1, train_stage2
 from .corpus import Corpus, SideLabel, class_weights
 from .doc2vec import PvdmConfig, PvdmModel, train_pvdm
+from .errors import InputError
 from .seeding import derive_seed
 
 
@@ -37,6 +39,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for stage in ("stage1", "stage2", "words"):  # TrainSpec checks the [train] values
             self.stage_spec(stage, None)
+        for name in ("hidden", "fused"):  # the checkpoint stores each as a u32
+            if not 1 <= getattr(self, name) <= U32_MAX:
+                raise InputError(f"{name} must be in [1, {U32_MAX}], got {getattr(self, name)}")
 
     def stage_spec(self, stage: str, corpus: Corpus | None) -> TrainSpec:
         """Settings of one classifier stage ("stage1", "stage2" or "words"):

@@ -1,6 +1,8 @@
 """Builders for tiny hand-made corpora used across the test suite, the
-PV-DM position plan the doc2vec oracles are written against, and the
-mutations the binary-file fuzz tests apply."""
+PV-DM oracles (the position plan, the per-position loss and its gradients,
+and the hierarchical-softmax probability) that the trainer and the
+acceptance checks are tested against, and the mutations the binary-file
+fuzz tests apply."""
 
 import struct
 from collections import Counter
@@ -9,6 +11,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from weakbias.corpus import Corpus, Sample, SideLabel
+from weakbias.doc2vec import PvdmModel
+from weakbias.errors import InputError
 
 
 def make_sample(sample_id, text, side, source="src", topics=(), feature=None, dim=4):
@@ -176,6 +180,69 @@ def position_plan(token_idx, window, dtype):
             )
         )
     return plan
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Clipping -x at 60 keeps exp() finite. No clip at -60 is needed: below
+    # it exp(-x) < 1e-26, so 1 + exp(-x) rounds to 1 in float32 and float64
+    # alike, as it would with a clip.
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 60.0)))
+
+
+def path_gradients(
+    context: np.ndarray, nodes: np.ndarray, bits: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and gradients of -log p(word | context) along one tree path.
+
+    Returns (loss, d_loss/d_context, d_loss/d_nodes). `nodes` holds the
+    inner-node vectors on the word's path, `bits` its code (0 = left).
+    """
+    z = nodes @ context
+    signs = 1.0 - 2.0 * np.asarray(bits, dtype=z.dtype)
+    probs = _sigmoid(signs * z)
+    loss = -float(np.add.reduce(np.log(probs)))  # = the sum of -log, exactly
+    coef = (probs - 1.0) * signs  # d(-log sigmoid(s z)) / dz
+    grad_context = coef @ nodes
+    grad_nodes = coef[:, None] * context  # np.outer, without its overhead
+    return loss, grad_context, grad_nodes
+
+
+def position_loss(
+    doc_vec: np.ndarray,
+    context_word_vecs: np.ndarray,
+    nodes: np.ndarray,
+    bits: np.ndarray,
+) -> float:
+    """-log p(target | mean of doc vector and window word vectors).
+
+    Pure function of its inputs; the trainer's updates are the gradients of
+    exactly this quantity.
+    """
+    m = len(context_word_vecs) + 1
+    context = (doc_vec + context_word_vecs.sum(axis=0)) / m if m > 1 else doc_vec
+    z = nodes @ context
+    signs = 1.0 - 2.0 * bits.astype(z.dtype)
+    return float(-np.log(_sigmoid(signs * z)).sum())
+
+
+def hs_probability(model: PvdmModel, context: np.ndarray, word: str) -> float:
+    """p(word | context) under the hierarchical softmax, computed in float64."""
+    vocab = model.vocabulary
+    if word not in vocab:
+        raise InputError(f"word {word!r} is not in the vocabulary")
+    idx = vocab.index[word]
+    path = vocab.paths[idx]
+    if path.size == 0:
+        return 1.0  # degenerate single-word vocabulary
+    context = np.asarray(context, dtype=np.float64)
+    if context.shape != (model.dim,):
+        raise InputError(
+            f"context must have shape ({model.dim},), got {context.shape}"
+        )
+    nodes = model.node_vectors[path].astype(np.float64)
+    z = nodes @ context
+    signs = 1.0 - 2.0 * vocab.codes[idx].astype(np.float64)
+    return float(np.prod(_sigmoid(signs * z)))
 
 
 U32_MAX = 2**32 - 1

@@ -12,7 +12,16 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import clean_batch, fd_check, feature_corpus, make_sample, two_topic_corpus
+from helpers import (
+    clean_batch,
+    fd_check,
+    feature_corpus,
+    hs_probability,
+    make_sample,
+    path_gradients,
+    position_loss,
+    two_topic_corpus,
+)
 from weakbias.classifier import (
     TrainSpec,
     ablate_zero_text,
@@ -47,13 +56,10 @@ from weakbias.dedup import (
 from weakbias.doc2vec import (
     PvdmConfig,
     PvdmModel,
-    hs_probability,
     infer_documents,
     load_embeddings,
     load_model,
     nearest_words,
-    path_gradients,
-    position_loss,
     save_embeddings,
     save_model,
     train_pvdm,

@@ -22,13 +22,12 @@ from weakbias.classifier import (
     BiasModel,
     TrainSpec,
     ablate_zero_text,
+    argmax_sides,
     build_model,
     forward_stage1,
     image_only_loss_and_grads,
     load_checkpoint,
-    predict,
     predict_batch,
-    predict_stage1,
     rank_images_for_word,
     save_checkpoint,
     select_visual_words,
@@ -331,14 +330,14 @@ class TestPredict:
     def test_requires_stage2(self):
         model = tiny_model()
         with pytest.raises(InputError, match="stage 2"):
-            predict(model, np.ones(8))
+            predict_batch(model, np.ones(8))
 
     def test_symmetric_zero_head_ties_to_left(self):
         model = tiny_model(seed=1)
         model.head2 = Affine(np.zeros((6, 2)), np.zeros(2))
-        side, prob = predict(model, np.ones(8))
-        assert side is SideLabel.LEFT
-        assert prob == pytest.approx(0.5)
+        sides, probs = predict_batch(model, np.ones(8))
+        assert sides == [SideLabel.LEFT]
+        assert probs[0, 0] == pytest.approx(0.5)
 
     def test_probabilities_sum_to_one(self):
         model = tiny_model(seed=2)
@@ -382,10 +381,9 @@ class TestPredict:
         corpus, embeddings = multimodal_corpus(n=60)
         spec = TrainSpec(epochs=10, lr=3e-3, seed=0)
         model = train_stage1(corpus, embeddings, spec, hidden=16, fused=12)
-        hits = sum(
-            predict_stage1(model, s.feature, embeddings[s.id])[0] is s.side
-            for s in corpus
-        )
+        text = np.stack([embeddings[s.id] for s in corpus])
+        predicted = argmax_sides(forward_stage1(model, corpus.features(), text))
+        hits = sum(p is s.side for p, s in zip(predicted, corpus))
         assert hits / len(corpus) >= 0.9
 
 

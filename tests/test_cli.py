@@ -1,5 +1,6 @@
 """Command-line dispatch, config resolution, exit codes, artifact plumbing."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -30,6 +31,7 @@ from weakbias.corpus import SideLabel, load_corpus, save_corpus
 from weakbias.doc2vec import PvdmConfig, load_embeddings, load_model
 from weakbias.errors import InputError, NumericError, UsageError
 from weakbias.pipeline import PipelineConfig
+from weakbias.synthetic import SyntheticSpec
 
 from helpers import make_corpus
 
@@ -62,11 +64,17 @@ def workspace(tmp_path_factory):
     return root
 
 
-SUBCOMMANDS = (
-    "vocab", "train-text", "infer-text", "nearest-words", "dedup",
-    "train-stage1", "train-stage2", "ablate", "truncation-sweep", "loso",
-    "select-words", "train-words", "rank-images", "eval", "make-synthetic",
-)
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name, as build_parser() declares them."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SUBCOMMANDS = tuple(subparsers())
+
+
+def option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    return {flag for action in parser._actions for flag in action.option_strings}
 
 
 class TestExitCodes:
@@ -481,9 +489,53 @@ class TestConfigValues:
         assert "final_lr <= initial_lr < inf" in capsys.readouterr().err
         assert not (tmp_path / "t.pv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"pvdm": {"dim": 99999999999999999999}}', "dim must be in [1, 4294967295]"),
+        ('{"pvdm": {"dim": 4294967296}}', "dim must be in [1, 4294967295], got 4294967296"),
+        ('{"train": {"hidden": 100000000000000000000}}', "hidden must be in [1, 4294967295]"),
+        ("[train]\nfused = 4294967296\n", "fused must be in [1, 4294967295], got 4294967296"),
+        ("[train]\nfused = 0\n", "fused must be in [1, 4294967295], got 0"),
+    ])
+    def test_dimension_beyond_its_u32_file_field_is_an_input_error(self, tmp_path, text,
+                                                                   message):
+        """The model file and the checkpoint store these as u32 fields."""
+        with pytest.raises(InputError, match=re.escape(message)):
+            resolve_config(tmp_path, "bad", text)
+
+    def test_huge_dim_exits_three(self, workspace, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"pvdm": {"dim": 99999999999999999999}}')
+        code = run("train-text", "--corpus", workspace / "corpus.jsonl", "--config", config,
+                   "--model-out", tmp_path / "t.pv")
+        err = capsys.readouterr().err.strip()
+        assert code == EXIT_INPUT and err.startswith("error: input: dim must be in")
+        assert not (tmp_path / "t.pv").exists()
+
+    @given(value=CONFIG_VALUES.filter(lambda value: not isinstance(value, str)))
+    @example(value=True)
+    @example(value=[1])
+    @settings(max_examples=50, deadline=None)
+    def test_non_string_path_names_its_key(self, tmp_path_factory, value):
+        """A [paths] value is a string: in JSON, anything else is a usage
+        error naming the key, never a file named str(value)."""
+        config = tmp_path_factory.mktemp("cfg") / "paths.json"
+        config.write_text(json.dumps({"paths": {"out": value}}), encoding="utf-8")
+        args = build_parser().parse_args(["loso", "--source", "s", "--config", str(config)])
+        with pytest.raises(UsageError, match=re.escape("for [paths] out: expected a string")):
+            build_run_config(args, optional=("out",))
+
+    def test_non_string_corpus_path_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "True").write_text("")
+        config = tmp_path / "cfg.json"
+        config.write_text('{"paths": {"corpus": true}}')
+        assert run("vocab", "--config", config) == EXIT_USAGE
+        assert "bad value True for [paths] corpus" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, dim", [
         ('{"pvdm": {"dim": 12}}', 12), ('{"pvdm": {"dim": "12"}}', 12),
         ("[pvdm]\ndim = 12\n", 12), ("[pvdm]\ndim =  1_2 \n", 12),
+        ('{"pvdm": {"dim": 4294967295}}', 2**32 - 1),  # the largest the model file holds
     ])
     def test_integers_are_read(self, tmp_path, text, dim):
         config, _ = resolve_config(tmp_path, "good", text)
@@ -524,6 +576,31 @@ class TestConfigValues:
 
 
 class TestMakeSynthetic:
+    COMMON = {"-h", "--help", "--config", "--seed", "--json-logs", "--dump-config"}
+
+    def test_help_lists_the_same_flags(self, capsys):
+        """The flags generated from SyntheticSpec keep every spelling."""
+        with pytest.raises(SystemExit):
+            run("make-synthetic", "--help")
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - self.COMMON
+        assert listed == {
+            "--out", "--n-samples", "--feature-dim", "--signal-dims", "--signal-scale",
+            "--signal-noise", "--nuisance-scale", "--label-correlation", "--left-fraction",
+            "--words-per-topic", "--shared-words", "--sentences-per-doc",
+            "--words-per-sentence", "--topic-sentence-anywhere", "--sources-per-side",
+        }
+        assert option_strings(subparsers()["make-synthetic"]) - self.COMMON == listed
+
+    def test_every_spec_field_but_the_seed_has_a_flag(self):
+        parser = subparsers()["make-synthetic"]
+        dests = {action.dest for action in parser._actions if action.option_strings}
+        fields = {f.name for f in dataclasses.fields(SyntheticSpec)}
+        assert fields - {"seed"} <= dests  # the seed is the common --seed
+        args = parser.parse_args(["--topic-sentence-anywhere"])
+        assert args.n_samples == 200 and args.topic_sentence_last is False
+        spec = SyntheticSpec(**{f: getattr(args, f) for f in fields - {"seed"}})
+        assert spec == SyntheticSpec(n_samples=200, topic_sentence_last=False)
+
     def test_fixed_seed_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert run("make-synthetic", "--out", a, "--n-samples", 50,

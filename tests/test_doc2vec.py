@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,15 +17,10 @@ from weakbias.doc2vec import (
     PvdmModel,
     _document_plans,
     _inference_tables,
-    _sigmoid,
-    hs_probability,
-    infer_document,
     infer_documents,
     load_embeddings,
     load_model,
     nearest_words,
-    path_gradients,
-    position_loss,
     save_embeddings,
     save_model,
     train_pvdm,
@@ -36,11 +32,20 @@ from weakbias.synthetic import SyntheticSpec, make_synthetic
 from helpers import (
     BINARY_MUTATIONS,
     U32_MAX,
+    _sigmoid,
+    hs_probability,
     make_corpus,
     mutate_binary,
+    path_gradients,
+    position_loss,
     position_plan,
     two_topic_corpus,
 )
+
+
+def infer_document(model, tokens, steps=50, seed=None):
+    """One document's vector: infer_documents on a batch of one."""
+    return infer_documents(model, [tokens], steps, [seed])[0]
 
 
 def tiny_model(word_counts, dim=8, seed=0, zero_nodes=False):
@@ -108,8 +113,8 @@ class TestHsProbability:
 class TestFoldedSigmoid:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equal_to_the_two_sided_clip(self, dtype):
-        """_sigmoid, through _sigmoid_neg, clips only -x at 60; dropping the
-        clip at x = 60 may not change a result, down to the bit."""
+        """The oracles' _sigmoid clips only -x at 60; dropping the clip at
+        x = 60 may not change a result, down to the bit."""
         big = np.finfo(dtype).max
         x = np.array([59.99, 60.0, 61.0, 89.0, 710.0, 1e30, np.inf, big, 0.0, 0.5])
         x = np.concatenate([x, -x, [np.nan]]).astype(dtype)
@@ -666,6 +671,32 @@ class TestDocumentPlans:
         path_nodes = sum(model.vocabulary.paths[t].size for doc in docs for t in doc.tolist())
         assert sum(loss.size for loss in losses) == path_nodes
 
+    def test_window_wider_than_every_document_is_free(self):
+        """A window wider than the longest document sees the words of one its
+        length less one, and the plan's tables are sized by that: on 20
+        documents of 32 tokens, window 2,000 gives the bits and losses of
+        window 32, and train_pvdm's tracemalloc peak is within 1 MiB of
+        window 32's (tables that grew as window squared peaked 31 MiB above)."""
+        corpus = make_synthetic(SyntheticSpec(n_samples=20, seed=3))
+        assert max(len(s.tokens) for s in corpus) == 32
+        runs = []
+        for window in (32, 2000):
+            config = PvdmConfig(dim=8, window=window, epochs=1, min_count=1, seed=4)
+            tracemalloc.start()
+            try:
+                model = train_pvdm(corpus, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append((model, peak))
+        (narrow, narrow_peak), (wide, wide_peak) = runs
+        for name in ("word_vectors", "node_vectors", "doc_vectors"):
+            np.testing.assert_array_equal(
+                getattr(wide, name).view(np.uint32), getattr(narrow, name).view(np.uint32)
+            )
+        assert wide.epoch_losses == narrow.epoch_losses
+        assert wide_peak - narrow_peak <= 2**20
+
 
 class TestBatchedInference:
     @given(case=ragged_batches())
@@ -795,9 +826,9 @@ class TestNearestWords:
     @pytest.mark.parametrize("n", [0, -2])
     def test_nonpositive_n_returns_before_inferring(self, model, monkeypatch, n):
         def fail(*args, **kwargs):
-            raise AssertionError("infer_document was called")
+            raise AssertionError("infer_documents was called")
 
-        monkeypatch.setattr(doc2vec, "infer_document", fail)
+        monkeypatch.setattr(doc2vec, "infer_documents", fail)
         assert nearest_words(model, ["red0"], n=n) == []
         with pytest.raises(InputError, match="embed"):
             nearest_words(model, ["red0"], n=n, embed="other")
