@@ -1,8 +1,13 @@
-"""Little-endian binary primitives shared by the model file formats, and the
-atomic write every saved file goes through."""
+"""The layout shared by the two binary files, and the atomic write every
+saved file goes through.
+
+A binary file is its 4-byte magic, a u32 version, the u32 byte length of a
+JSON object (the header), the header, then float32 little-endian matrices
+whose shapes the header gives."""
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 import struct
@@ -13,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 
-U32_MAX = 2**32 - 1  # the largest count or size a u32 field of a file holds
+U32_MAX = 2**32 - 1  # the largest layer width a model file or checkpoint is written with
 
 
 @contextmanager
@@ -70,34 +75,46 @@ def read_exact(fh: BinaryIO, n: int) -> bytes:
     return data
 
 
-def write_u32(fh: BinaryIO, value: int) -> None:
-    fh.write(struct.pack("<I", value))
+def write_header(fh: BinaryIO, magic: bytes, version: int, header: dict) -> None:
+    """The magic, version, length and header, as ASCII JSON: a string that is
+    not UTF-8 (a lone surrogate) is written as its escape and reads back."""
+    raw = json.dumps(header).encode("ascii")
+    fh.write(magic + struct.pack("<II", version, len(raw)) + raw)
 
 
-def read_u32(fh: BinaryIO) -> int:
-    return struct.unpack("<I", read_exact(fh, 4))[0]
-
-
-def write_u64(fh: BinaryIO, value: int) -> None:
-    fh.write(struct.pack("<Q", value))
-
-
-def read_u64(fh: BinaryIO) -> int:
-    return struct.unpack("<Q", read_exact(fh, 8))[0]
-
-
-def write_str(fh: BinaryIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    write_u32(fh, len(raw))
-    fh.write(raw)
-
-
-def read_str(fh: BinaryIO) -> str:
-    n = read_u32(fh)
+def read_header(fh: BinaryIO, magic: bytes, version: int, what: str) -> dict:
+    """The header of a file of `what` ("model", "checkpoint") at `version`;
+    any other magic or version, and a header that is not a UTF-8 JSON
+    object, raise InputError."""
+    got = fh.read(len(magic))
+    if got != magic:
+        raise InputError(f"bad magic: expected {magic!r}, got {got!r}")
+    found, length = struct.unpack("<II", read_exact(fh, 8))
+    if found != version:
+        raise InputError(f"unsupported {what} version {found}")
+    raw = read_exact(fh, length)
     try:
-        return read_exact(fh, n).decode("utf-8")
+        header = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise InputError(f"string of {n} bytes is not UTF-8: {exc.reason}") from None
+        raise InputError(f"{what} header is not UTF-8: {exc.reason}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an int over int()'s digit limit
+        raise InputError(f"{what} header is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{what} header JSON is nested too deeply") from None
+    if not isinstance(header, dict):
+        raise InputError(f"{what} header is not a JSON object")
+    return header
+
+
+def header_field(header: dict, key: str, kind: type, item: type | None = None):
+    """header[key] if its type is exactly `kind` (a bool is not an int), and
+    with `item`, a list of values of type exactly `item`; else InputError
+    naming the key."""
+    value = header.get(key)
+    if type(value) is not kind or (item is not None and any(type(v) is not item for v in value)):
+        expected = kind.__name__ if item is None else f"{kind.__name__} of {item.__name__}"
+        raise InputError(f"header field {key!r} must be of type {expected}")
+    return value
 
 
 def write_matrix(fh: BinaryIO, matrix: np.ndarray) -> None:
@@ -117,9 +134,3 @@ def write_vector(fh: BinaryIO, vector: np.ndarray) -> None:
 def read_vector(fh: BinaryIO, n: int) -> np.ndarray:
     raw = read_exact(fh, 4 * n)
     return np.frombuffer(raw, dtype="<f4").copy()
-
-
-def expect_magic(fh: BinaryIO, magic: bytes) -> None:
-    got = fh.read(len(magic))
-    if got != magic:
-        raise InputError(f"bad magic: expected {magic!r}, got {got!r}")

@@ -26,14 +26,12 @@ import numpy as np
 
 from .binio import (
     atomic_write,
-    expect_magic,
+    header_field,
+    read_header,
     read_matrix,
-    read_str,
-    read_u32,
     read_vector,
+    write_header,
     write_matrix,
-    write_str,
-    write_u32,
     write_vector,
 )
 from .corpus import ClassWeights, Corpus, Sample, SideLabel
@@ -42,7 +40,7 @@ from .nn import Adam, Affine, bce_with_logits, relu, softmax, weighted_cross_ent
 from .seeding import derive_seed
 
 CHECKPOINT_MAGIC = b"WBCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _SIDE_INDEX = {SideLabel.LEFT: 0, SideLabel.RIGHT: 1}
 _INDEX_SIDE = (SideLabel.LEFT, SideLabel.RIGHT)
@@ -503,68 +501,60 @@ def rank_images_for_word(
     return [sid for _, sid in order[:top]]
 
 
+def _layer_shapes(header: dict) -> dict[str, tuple[int, int]]:
+    """(in, out) of each layer a checkpoint header says is present, in file
+    order, from its dims, layer names and visual words."""
+    dims = {key: header_field(header, key, int) for key in ("feature_dim", "hidden", "fused",
+                                                             "text_dim")}
+    for key, value in dims.items():
+        if value < 1:
+            raise InputError(f"checkpoint {key} must be >= 1, got {value}")
+    words = header_field(header, "visual_words", list, str)
+    if len(set(words)) != len(words):
+        raise InputError("checkpoint visual words are not unique")
+    feature, hidden, fused, text = dims.values()
+    shapes = {"trunk1": (feature, hidden), "trunk2": (hidden, hidden),
+              "fusion": (hidden + text, fused), "head1": (fused, 2), "head2": (hidden, 2),
+              "word_head": (fused, len(words))}
+    layers = header_field(header, "layers", list, str)
+    if layers != [name for i, name in enumerate(shapes) if i < 4 or name in layers]:
+        raise InputError("checkpoint layers must be trunk1, trunk2, fusion and head1, "
+                         "then head2 and word_head if present")
+    return {name: shapes[name] for name in layers}
+
+
 def save_checkpoint(model: BiasModel, path: str) -> None:
-    """Binary checkpoint; arrays stored as little-endian float32. Training
-    history is a run artifact and is not persisted."""
-    if model.word_head is not None and model.word_head.out_dim != len(
-        model.visual_words
-    ):
-        raise InputError(
-            f"word head has {model.word_head.out_dim} outputs but "
-            f"{len(model.visual_words)} visual words"
-        )
+    """Binary checkpoint: a header with the four dims, the present layers
+    and the visual words, then each layer's W and b as little-endian
+    float32. Training history is a run artifact and is not persisted. A
+    model whose layers do not have the shapes the header gives raises
+    InputError before the file is opened."""
+    layers = [name for name in ("trunk1", "trunk2", "fusion", "head1", "head2", "word_head")
+              if getattr(model, name) is not None]
+    header = {"feature_dim": model.feature_dim, "hidden": model.hidden_dim,
+              "fused": model.fused_dim, "text_dim": model.text_dim, "layers": layers,
+              "visual_words": model.visual_words}
+    for name, (n_in, n_out) in _layer_shapes(header).items():
+        W, b = getattr(model, name).W, getattr(model, name).b
+        if W.shape != (n_in, n_out) or b.shape != (n_out,):
+            raise InputError(f"{name} has shapes {W.shape} and {b.shape}, but the dims "
+                             f"and {len(model.visual_words)} visual words need {(n_in, n_out)}")
     with atomic_write(path, binary=True) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        write_u32(fh, CHECKPOINT_VERSION)
-        write_u32(fh, model.feature_dim)
-        write_u32(fh, model.hidden_dim)
-        write_u32(fh, model.fused_dim)
-        write_u32(fh, model.text_dim)
-        write_u32(fh, 0 if model.head2 is None else 1)
-        write_u32(fh, 0 if model.word_head is None else 1)
-        write_u32(fh, len(model.visual_words))
-        for word in model.visual_words:
-            write_str(fh, word)
-        for layer in model.layers().values():
-            write_matrix(fh, layer.W)
-            write_vector(fh, layer.b)
+        write_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header)
+        for name in layers:
+            write_matrix(fh, getattr(model, name).W)
+            write_vector(fh, getattr(model, name).b)
 
 
 def load_checkpoint(path: str) -> BiasModel:
     with open(path, "rb") as fh:
-        expect_magic(fh, CHECKPOINT_MAGIC)
-        version = read_u32(fh)
-        if version != CHECKPOINT_VERSION:
-            raise InputError(f"unsupported checkpoint version {version}")
-        feature_dim = read_u32(fh)
-        hidden = read_u32(fh)
-        fused = read_u32(fh)
-        text_dim = read_u32(fh)
-        has_head2 = read_u32(fh)
-        has_word_head = read_u32(fh)
-        n_words = read_u32(fh)
-        words = [read_str(fh) for _ in range(n_words)]
-        if len(set(words)) != len(words):
-            raise InputError("checkpoint visual words are not unique")
-
-        def affine(name: str, in_dim: int, out_dim: int) -> Affine:
-            layer = Affine(read_matrix(fh, in_dim, out_dim), read_vector(fh, out_dim))
-            for array, values in (("W", layer.W), ("b", layer.b)):
-                if not np.all(np.isfinite(values)):
+        header = read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+        layers = {}
+        for name, (n_in, n_out) in _layer_shapes(header).items():
+            layers[name] = Affine(read_matrix(fh, n_in, n_out), read_vector(fh, n_out))
+            for array in ("W", "b"):
+                if not np.all(np.isfinite(getattr(layers[name], array))):
                     raise InputError(f"checkpoint has a non-finite value in {name} {array}")
-            return layer
-
-        model = BiasModel(
-            trunk1=affine("trunk1", feature_dim, hidden),
-            trunk2=affine("trunk2", hidden, hidden),
-            fusion=affine("fusion", hidden + text_dim, fused),
-            head1=affine("head1", fused, 2),
-            visual_words=words,
-        )
-        if has_head2:
-            model.head2 = affine("head2", hidden, 2)
-        if has_word_head:
-            model.word_head = affine("word_head", fused, n_words)
         if fh.read(1):
             raise InputError("trailing bytes after checkpoint payload")
-    return model
+    return BiasModel(**layers, visual_words=header["visual_words"])

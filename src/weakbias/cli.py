@@ -135,12 +135,6 @@ class Progress:
             detail = " ".join(f"{k}={v}" for k, v in fields.items())
             print(f"{event} {detail}".rstrip(), file=sys.stderr)
 
-    def epoch_hook(self, stage: str):
-        def hook(*, epoch: int, loss: float) -> None:
-            self.event("epoch", stage=stage, epoch=int(epoch), loss=float(loss))
-
-        return hook
-
     def history(self, stage: str, losses: list[float]) -> None:
         for epoch, loss in enumerate(losses):
             self.event("epoch", stage=stage, epoch=epoch, loss=float(loss))
@@ -317,26 +311,20 @@ def build_run_config(
     )
     dump_path = getattr(args, "dump_config", None)
     if dump_path:
-        # A path argument with bytes that are not UTF-8 reaches argv as lone
-        # surrogates: it opens, but the UTF-8 settings file cannot hold it.
-        for name, value in config.paths.items():
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise InputError(
-                    f"--dump-config {dump_path}: the {name.replace('_', ' ')} path "
-                    f"{value!r} is not valid UTF-8, so the settings file cannot hold it"
-                ) from None
+        text = dump_config(config)
         with atomic_write(dump_path) as fh:
-            fh.write(dump_config(config))
+            fh.write(text)
     return config
 
 
 def dump_config(config: RunConfig) -> str:
-    """Effective settings as INI; parsing the dump rebuilds an equal config."""
+    """Effective settings as INI; parsing the dump rebuilds an equal config.
+    A path the dump would not give back (INI strips leading and trailing
+    spaces; a path byte that is not UTF-8 reaches argv as a lone surrogate,
+    which the UTF-8 file cannot hold) raises InputError naming it."""
     parser = configparser.ConfigParser()
-    if config.paths:
-        parser["paths"] = {k: config.paths[k] for k in sorted(config.paths)}
+    if config.paths:  # "%" starts an interpolation, "%%" reads back as "%"
+        parser["paths"] = {k: config.paths[k].replace("%", "%%") for k in sorted(config.paths)}
     for section_name in config.sections:
         instance = config.pipeline.pvdm if section_name == "pvdm" else config.pipeline
         parser[section_name] = {
@@ -346,7 +334,18 @@ def dump_config(config: RunConfig) -> str:
     parser["run"] = {"seed": str(config.pipeline.seed)}
     out = io.StringIO()
     parser.write(out)
-    return out.getvalue()
+    text = out.getvalue()
+    # The file as --config reads it: UTF-8 (a surrogate written as "?"), universal newlines.
+    stored = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "replace")), encoding="utf-8")
+    try:
+        read_back = parse_config_text(stored.read()).get("paths", {})
+    except UsageError:  # a path's line break can leave a line INI cannot parse
+        read_back = {}
+    for name, value in config.paths.items():
+        if read_back.get(name) != value:
+            raise InputError(f"--dump-config: the {name.replace('_', ' ')} path {value!r} "
+                             "would not read back the same from the settings file")
+    return text
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -393,11 +392,8 @@ def _cmd_train_text(args, progress: Progress) -> int:
         args, inputs=("corpus",), outputs=("model_out",), optional=("embeddings_out",)
     )
     corpus = load_corpus(config.paths["corpus"])
-    model = train_pvdm(
-        corpus,
-        config.pipeline.text_config(),
-        on_epoch=progress.epoch_hook("pvdm"),
-    )
+    model = train_pvdm(corpus, config.pipeline.text_config())
+    progress.history("pvdm", model.epoch_losses)
     save_model(model, config.paths["model_out"])
     progress.event(
         "saved", model=config.paths["model_out"], vocabulary=len(model.vocabulary)

@@ -26,6 +26,7 @@ allocated once per call.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -35,15 +36,11 @@ import numpy as np
 from .binio import (
     U32_MAX,
     atomic_write,
-    expect_magic,
+    header_field,
+    read_header,
     read_matrix,
-    read_str,
-    read_u32,
-    read_u64,
+    write_header,
     write_matrix,
-    write_str,
-    write_u32,
-    write_u64,
 )
 from .corpus import (
     Corpus,
@@ -58,7 +55,7 @@ from .errors import InputError, NumericError
 from .seeding import derive_seed
 
 PVDM_MAGIC = b"PVDM"
-PVDM_VERSION = 1
+PVDM_VERSION = 2
 
 
 @dataclass
@@ -72,7 +69,7 @@ class PvdmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= U32_MAX:  # the model file stores it as a u32
+        if not 1 <= self.dim <= U32_MAX:
             raise InputError(f"dim must be in [1, {U32_MAX}], got {self.dim}")
         if self.window < 1:
             raise InputError(f"window must be >= 1, got {self.window}")
@@ -234,7 +231,6 @@ def train_pvdm(
     config: PvdmConfig,
     *,
     dtype=np.float32,
-    on_epoch=None,
 ) -> PvdmModel:
     """Train paragraph vectors over the corpus.
 
@@ -291,8 +287,6 @@ def train_pvdm(
         if not np.isfinite(mean_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         model.epoch_losses.append(mean_loss)
-        if on_epoch is not None:
-            on_epoch(epoch=epoch, loss=mean_loss)
     return model
 
 
@@ -300,8 +294,11 @@ def _inference_tables(model: PvdmModel, rows: list[np.ndarray]) -> tuple:
     """Path, negated signs, m and z_window (the path's dot products with the
     window sum) of each position of the token-id rows, concatenated. Paths are
     padded to the vocabulary's depth with the root, signs and z_window with 0.
-    Window sums are float64 prefix-sum differences, left and right apart."""
-    vocab, nodes, window = model.vocabulary, model.node_vectors, model.config.window
+    Window sums are float64 prefix-sum differences, left and right apart. A
+    window as long as the longest row already spans every row, so it is
+    clamped there: the bounds stay small ints, whatever the trained window."""
+    vocab, nodes = model.vocabulary, model.node_vectors
+    window = min(model.config.window, max(row.size for row in rows))
     index = {}  # the batch's words, first seen first: np.unique would page in sort code
     word = np.array([index.setdefault(w, len(index)) for w in np.concatenate(rows).tolist()])
     depth = max(p.size for p in vocab.paths)
@@ -447,65 +444,64 @@ def nearest_words(
     return sorted(ranked, key=lambda pair: (-pair[1], pair[0]))[:n]
 
 
+def _parse_model_header(header: dict) -> tuple[dict, dict[str, tuple[int, int]]]:
+    """The config, vocabulary and document ids a model header holds, as
+    PvdmModel fields, and the shapes of the matrices that follow it, in file
+    order. The Huffman tree is rebuilt from the counts at the trained
+    min_count, which reproduces the saved tree exactly (construction is
+    deterministic in the counts)."""
+    config = PvdmConfig(**{f.name: header_field(header, f.name, type(f.default))
+                           for f in dataclasses.fields(PvdmConfig)})
+    words = header_field(header, "words", list, str)
+    counts = header_field(header, "counts", list, int)
+    doc_ids = header_field(header, "doc_ids", list, str)
+    if len(counts) != len(words):
+        raise InputError(f"model header has {len(words)} words but {len(counts)} counts")
+    by_word = dict(zip(words, counts))
+    if len(by_word) != len(words):
+        raise InputError("model vocabulary has duplicate words")
+    vocab = vocabulary_from_counts(by_word, config.min_count)
+    if vocab.words != words:
+        raise InputError("model vocabulary is not in canonical order")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise InputError("model document ids are not unique")
+    rows = {"word_vectors": len(vocab), "node_vectors": vocab.n_inner_nodes,
+            "doc_vectors": len(doc_ids)}
+    fields = {"config": config, "vocabulary": vocab, "doc_ids": doc_ids}
+    return fields, {name: (n, config.dim) for name, n in rows.items()}
+
+
 def save_model(model: PvdmModel, path: str) -> None:
-    """Serialize to the PVDM binary format (all matrices float32 LE)."""
+    """Serialize to the PVDM v2 format: a header with every PvdmConfig
+    field, the words and their counts in vocabulary order and the document
+    ids, then the word, inner-node and document vectors as float32 LE. A
+    model the loader would refuse (a header it rejects, matrices of other
+    shapes) raises InputError before the file is opened."""
     vocab = model.vocabulary
+    header = {**dataclasses.asdict(model.config), "words": vocab.words, "counts": vocab.counts,
+              "doc_ids": model.doc_ids}
+    shapes = _parse_model_header(header)[1]
+    for name, shape in shapes.items():
+        if np.shape(getattr(model, name)) != shape:
+            raise InputError(f"{name} has shape {np.shape(getattr(model, name))}, "
+                             f"the header needs {shape}")
     with atomic_write(path, binary=True) as fh:
-        fh.write(PVDM_MAGIC)
-        write_u32(fh, PVDM_VERSION)
-        write_u32(fh, model.dim)
-        write_u32(fh, len(vocab))
-        write_u32(fh, model.doc_vectors.shape[0])
-        for word, count in zip(vocab.words, vocab.counts):
-            write_str(fh, word)
-            write_u64(fh, count)
-        write_matrix(fh, model.word_vectors)
-        write_matrix(fh, model.node_vectors)
-        write_matrix(fh, model.doc_vectors)
+        write_header(fh, PVDM_MAGIC, PVDM_VERSION, header)
+        for name in shapes:
+            write_matrix(fh, getattr(model, name))
 
 
 def load_model(path: str) -> PvdmModel:
-    """Read a PVDM file back. The Huffman tree is rebuilt from the counts,
-    which reproduces the saved tree exactly (construction is deterministic
-    in the counts)."""
+    """Read a PVDM v2 file back: the model as saved, epoch losses aside."""
     with open(path, "rb") as fh:
-        expect_magic(fh, PVDM_MAGIC)
-        version = read_u32(fh)
-        if version != PVDM_VERSION:
-            raise InputError(f"unsupported model version {version}")
-        dim = read_u32(fh)
-        vocab_size = read_u32(fh)
-        n_docs = read_u32(fh)
-        words: list[str] = []
-        counts: dict[str, int] = {}
-        for _ in range(vocab_size):
-            word = read_str(fh)
-            counts[word] = read_u64(fh)
-            words.append(word)
-        if not words:
-            raise InputError("model file has an empty vocabulary")
-        if len(counts) != len(words):
-            raise InputError("model vocabulary block has duplicate words")
-        vocab = vocabulary_from_counts(counts, min_count=min(counts.values()))
-        if vocab.words != words:
-            raise InputError("model vocabulary block is not in canonical order")
-        word_vectors = read_matrix(fh, vocab_size, dim)
-        node_vectors = read_matrix(fh, max(vocab_size - 1, 0), dim)
-        doc_vectors = read_matrix(fh, n_docs, dim)
-        trailing = fh.read(1)
-        if trailing:
+        fields, shapes = _parse_model_header(read_header(fh, PVDM_MAGIC, PVDM_VERSION, "model"))
+        matrices = {name: read_matrix(fh, *shape) for name, shape in shapes.items()}
+        if fh.read(1):
             raise InputError("trailing bytes after model payload")
-    for name, matrix in zip(("word", "node", "doc"), (word_vectors, node_vectors, doc_vectors)):
+    for name, matrix in matrices.items():
         if not np.all(np.isfinite(matrix)):
-            raise InputError(f"model file has a non-finite value in its {name} vectors")
-    config = PvdmConfig(dim=dim, min_count=vocab.min_count)
-    return PvdmModel(
-        word_vectors=word_vectors,
-        node_vectors=node_vectors,
-        doc_vectors=doc_vectors,
-        vocabulary=vocab,
-        config=config,
-    )
+            raise InputError(f"model file has a non-finite value in its {name.replace('_', ' ')}")
+    return PvdmModel(**matrices, **fields)
 
 
 def save_embeddings(embeddings: dict[str, np.ndarray], path: str) -> None:

@@ -39,7 +39,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for stage in ("stage1", "stage2", "words"):  # TrainSpec checks the [train] values
             self.stage_spec(stage, None)
-        for name in ("hidden", "fused"):  # the checkpoint stores each as a u32
+        for name in ("hidden", "fused"):  # bounded as PvdmConfig.dim is
             if not 1 <= getattr(self, name) <= U32_MAX:
                 raise InputError(f"{name} must be in [1, {U32_MAX}], got {getattr(self, name)}")
 

@@ -4,6 +4,7 @@ and the hierarchical-softmax probability) that the trainer and the
 acceptance checks are tested against, and the mutations the binary-file
 fuzz tests apply."""
 
+import json
 import struct
 from collections import Counter
 
@@ -247,28 +248,54 @@ def hs_probability(model: PvdmModel, context: np.ndarray, word: str) -> float:
 
 U32_MAX = 2**32 - 1
 
+# A value a binary file's header field is set to: the maximal u32, any int,
+# or a value of another JSON type.
+HEADER_VALUES = st.one_of(
+    st.just(U32_MAX),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([None, True, 0.5, float("nan"), "a", [], ["a", "a"], [1], {"a": 1}]),
+    st.lists(st.text(max_size=3) | st.integers(-2, 9), max_size=4),
+)
+
 # One mutation of a binary file: a truncation, a flipped byte, appended bytes,
-# or a u32 count field overwritten with a random or the maximal value.
+# the header's byte length overwritten with a random or the maximal u32, or
+# one header field set to a HEADER_VALUES draw.
 BINARY_MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
     st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
     st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
-    st.tuples(st.just("count"), st.integers(0, 100), st.just(U32_MAX) | st.integers(0, U32_MAX)),
+    st.tuples(st.just("length"), st.just(U32_MAX) | st.integers(0, U32_MAX)),
+    st.tuples(st.just("field"), st.integers(0, 100), HEADER_VALUES),
 )
 
 
-def mutate_binary(data, mutation, count_offsets):
-    """Apply one BINARY_MUTATIONS draw to `data`. A count mutation picks one
-    of the byte offsets `count_offsets` and leaves a file too short for it
+def with_header_field(data, key, value):
+    """A binary file with its header's `key` set to `value` and the header
+    length rewritten to match; a file whose header does not decode is left
     as it is."""
+    try:
+        (n,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + n])
+    except (struct.error, ValueError):
+        return data
+    if not isinstance(header, dict):
+        return data
+    header[key] = value
+    raw = json.dumps(header).encode("ascii")
+    return data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + n :]
+
+
+def mutate_binary(data, mutation, keys):
+    """Apply one BINARY_MUTATIONS draw to `data`. A field mutation sets one
+    of the header keys `keys`; a length mutation leaves a file too short for
+    the length field as it is."""
     kind, at, *rest = mutation
     if kind == "append":
         return data + at
-    if kind == "count":
-        offset = count_offsets[at % len(count_offsets)]
-        if offset + 4 > len(data):
-            return data
-        return data[:offset] + struct.pack("<I", rest[0]) + data[offset + 4:]
+    if kind == "length":
+        return data if len(data) < 12 else data[:8] + struct.pack("<I", at) + data[12:]
+    if kind == "field":
+        return with_header_field(data, keys[at % len(keys)], rest[0])
     at %= len(data) + 1
     if kind == "truncate":
         return data[:at]

@@ -39,6 +39,7 @@ def text_model(doc_vectors):
         doc_vectors=doc_vectors,
         vocabulary=vocab,
         config=PvdmConfig(dim=4, min_count=1),
+        doc_ids=[f"d{i}" for i in range(len(doc_vectors))],
     )
 
 

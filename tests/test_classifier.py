@@ -1,6 +1,7 @@
 """Two-stage classifier: gradients, freezing, ablation, word head, files."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     make_corpus,
     make_sample,
     mutate_binary,
+    with_header_field,
 )
 from weakbias.corpus import ClassWeights, Corpus, SideLabel
 from weakbias.classifier import (
@@ -605,15 +607,47 @@ class TestCheckpoints:
             load_checkpoint(str(path))
 
     def test_maximal_feature_dim_names_bytes_wanted_and_left(self, tmp_path):
-        """fh.read would allocate every byte a corrupt count asks for."""
+        """fh.read would allocate every byte a corrupt size asks for."""
         model = build_model(8, hidden=6, fused=5, text_dim=7)
         path = tmp_path / "model.bin"
         save_checkpoint(model, str(path))
-        data = bytearray(path.read_bytes())
-        data[8:12] = U32_MAX.to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        left = len(data) - 36  # everything after the header and an empty word list
+        data = path.read_bytes()
+        path.write_bytes(with_header_field(data, "feature_dim", U32_MAX))
+        left = 4 * (8 * 6 + 6 + 6 * 6 + 6 + 13 * 5 + 5 + 5 * 2 + 2)  # every saved layer
         message = f"^truncated file: wanted {U32_MAX * 6 * 4} bytes, {left} left$"
+        with pytest.raises(InputError, match=message):
+            load_checkpoint(str(path))
+
+    def test_version_1_is_refused(self, tmp_path):
+        """The first format: eight u32 fields (four dims, two presence flags,
+        the visual word count), the words, then the layers."""
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"WBCK" + struct.pack("<9I", 1, 1, 1, 1, 1, 0, 0, 0, 0)
+                         + bytes(4 * (1 + 1 + 1 + 1 + 2 + 1 + 2 + 2)))
+        with pytest.raises(InputError, match="^unsupported checkpoint version 1$"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden", 0, "checkpoint hidden must be >= 1, got 0"),
+        ("fused", True, "header field 'fused' must be of type int"),
+        ("text_dim", -3, "checkpoint text_dim must be >= 1, got -3"),
+        ("visual_words", ["cat", 2], "header field 'visual_words' must be of type list of str"),
+        ("visual_words", ["cat", "cat"], "checkpoint visual words are not unique"),
+        ("visual_words", ["cat"], "trailing bytes|truncated"),
+        ("layers", ["trunk1", "trunk2", "fusion", "head1", "word_head", "head2"], "layers must be"),
+        ("layers", ["trunk1", "trunk2", "fusion", "head2"], "layers must be"),
+        ("layers", ["trunk1", "trunk2", "fusion", "head1", "head2", "head2"], "layers must be"),
+        ("layers", ["trunk1", "trunk2", "fusion", "head1"], "trailing bytes"),
+    ])
+    def test_bad_header_field_is_named(self, tmp_path, key, value, message):
+        model = build_model(3, hidden=2, fused=2, text_dim=2, seed=1)
+        rng = np.random.default_rng(0)
+        model.head2 = Affine.create(rng, 2, 2)
+        model.word_head = Affine.create(rng, 2, 2)
+        model.visual_words = ["cat", "dog"]
+        path = tmp_path / "model.bin"
+        save_checkpoint(model, str(path))
+        path.write_bytes(with_header_field(path.read_bytes(), key, value))
         with pytest.raises(InputError, match=message):
             load_checkpoint(str(path))
 
@@ -627,12 +661,12 @@ class TestCheckpoints:
 
 class TestCheckpointFuzz:
     """A checkpoint mutated up to three times by truncation, a flipped byte,
-    appended bytes or a u32 count overwritten: loading either raises
-    InputError or gives a model that saves and reloads to the same bytes."""
+    appended bytes, its header length overwritten or a header field set to
+    another value: loading either raises InputError or gives a model that
+    saves and reloads to the same bytes."""
 
-    # feature_dim, hidden, fused, text_dim, the visual word count and the
-    # first word's length.
-    COUNTS = [8, 12, 16, 20, 32, 36]
+    # The header's keys, its four dims first.
+    KEYS = ["feature_dim", "hidden", "fused", "text_dim", "layers", "visual_words"]
 
     @pytest.fixture(scope="class")
     def clean(self):
@@ -654,7 +688,7 @@ class TestCheckpointFuzz:
         tmp_path = tmp_path_factory.mktemp("fuzz")
         data = self.saved(clean, tmp_path, "clean.ckpt").read_bytes()
         for mutation in mutations:
-            data = mutate_binary(data, mutation, self.COUNTS)
+            data = mutate_binary(data, mutation, self.KEYS)
         path = tmp_path / "in.ckpt"
         path.write_bytes(data)
         try:
@@ -665,10 +699,51 @@ class TestCheckpointFuzz:
         twice = self.saved(load_checkpoint(str(once)), tmp_path, "twice.ckpt")
         assert twice.read_bytes() == once.read_bytes()
 
-    @pytest.mark.parametrize("field", range(len(COUNTS)))
-    def test_maximal_count_is_refused_before_reading(self, tmp_path, clean, field):
+    @pytest.mark.parametrize("mutation", [("length", U32_MAX)]
+                             + [("field", i, U32_MAX) for i in range(4)],
+                             ids=["header-length"] + KEYS[:4])
+    def test_maximal_size_is_refused_before_reading(self, tmp_path, clean, mutation):
         data = self.saved(clean, tmp_path, "clean.ckpt").read_bytes()
         path = tmp_path / "in.ckpt"
-        path.write_bytes(mutate_binary(data, ("count", field, U32_MAX), self.COUNTS))
+        path.write_bytes(mutate_binary(data, mutation, self.KEYS))
         with pytest.raises(InputError, match=r"^truncated file: wanted \d+ bytes, "):
             load_checkpoint(str(path))
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """A model with drawn dims and heads (each weight drawn from a seed),
+    and a batch of features and text embeddings for it."""
+    feature, hidden, fused, text = (draw(st.integers(1, 5)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = build_model(feature, hidden=hidden, fused=fused, text_dim=text,
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        model.head2 = Affine.create(rng, hidden, 2)
+    if draw(st.booleans()):
+        words = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+        model.word_head = Affine.create(rng, fused, len(words))
+        model.visual_words = words
+    n = draw(st.integers(1, 4))
+    return model, rng.normal(size=(n, feature)), rng.normal(size=(n, text))
+
+
+class TestCheckpointRoundTrip:
+    """After save and load a checkpoint predicts as the model in memory, bit
+    for bit: stage-1 logits and stage-2 labels and probabilities."""
+
+    @given(checkpoint_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_reloaded_checkpoint_is_the_saved_model(self, tmp_path_factory, case):
+        model, features, text = case
+        path = tmp_path_factory.mktemp("rt") / "m.ckpt"
+        save_checkpoint(model, str(path))
+        loaded = load_checkpoint(str(path))
+        assert loaded.visual_words == model.visual_words
+        assert list(loaded.parameters()) == list(model.parameters())
+        assert (forward_stage1(loaded, features, text).tobytes()
+                == forward_stage1(model, features, text).tobytes())
+        if model.head2 is not None:
+            labels, probs = predict_batch(model, features)
+            assert predict_batch(loaded, features)[0] == labels
+            assert predict_batch(loaded, features)[1].tobytes() == probs.tobytes()

@@ -33,7 +33,7 @@ from weakbias.errors import InputError, NumericError, UsageError
 from weakbias.pipeline import PipelineConfig
 from weakbias.synthetic import SyntheticSpec
 
-from helpers import make_corpus
+from helpers import make_corpus, with_header_field
 
 
 def run(*argv) -> int:
@@ -165,6 +165,28 @@ class TestExitCodes:
         assert err.startswith("error: input: --dump-config")
         assert "c\\udcff.jsonl'" in err and "\n" not in err
         assert not dump.exists() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("path", ["c%1.jsonl", "c%%(x)s.jsonl"])
+    def test_percent_in_a_path_is_dumped_and_read_back(self, tmp_path, capsys, monkeypatch,
+                                                       path):
+        monkeypatch.chdir(tmp_path)
+        assert run("make-synthetic", "--out", path, "--n-samples", 10,
+                   "--dump-config", "d.ini") == 0
+        assert run("make-synthetic", "--config", "d.ini", "--n-samples", 10,
+                   "--dump-config", "again.ini") == 0
+        assert (tmp_path / "again.ini").read_text() == (tmp_path / "d.ini").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["again.ini", "d.ini", path])
+
+    def test_path_with_outer_spaces_is_refused_by_dump_config(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """INI strips a value's outer spaces, so the dump would name another
+        file: an input error naming the path, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        assert run("make-synthetic", "--out", " x.jsonl ", "--n-samples", 10,
+                   "--dump-config", "d.ini") == EXIT_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input: --dump-config: the out path ' x.jsonl '")
+        assert "\n" not in err and not list(tmp_path.iterdir())
 
     def test_error_is_one_json_line_with_json_logs(self, tmp_path, capsys):
         code = run("vocab", "--corpus", tmp_path / "nope.jsonl", "--json-logs")
@@ -418,23 +440,28 @@ CONFIG_VALUES = st.one_of(
     st.text(alphabet="0123456789.-+e_ xnaift", max_size=8),
 )
 # (section, key) of every settable value: [pvdm] and [train] are the config
-# types' fields, the seed is [run]'s.
+# types' fields, the seed is [run]'s, and [paths] out a path.
 CONFIG_KEYS = (
     [("pvdm", f.name) for f in dataclasses.fields(PvdmConfig) if f.name != "seed"]
     + [("train", f.name) for f in dataclasses.fields(PipelineConfig)[1:-1]]
-    + [("run", "seed")]
+    + [("run", "seed"), ("paths", "out")]
 )
+# Path strings: any text but lone surrogates, which a UTF-8 file cannot hold,
+# with spaces, "%" and line breaks more likely than at random.
+PATH_VALUES = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(" %\n\r"),
+                      max_size=8)
 
 
 def resolve_config(tmp_path, name, text):
     """The RunConfig `loso` (a command that reads both [pvdm] and [train])
-    resolves from a config file holding `text`, with its --dump-config."""
+    resolves from a config file holding `text`, with its --dump-config and
+    an optional [paths] out."""
     path, dump = tmp_path / f"{name}.cfg", tmp_path / f"{name}.ini"
     path.write_text(text, encoding="utf-8")
     args = build_parser().parse_args(
         ["loso", "--source", "s", "--config", str(path), "--dump-config", str(dump)]
     )
-    return build_run_config(args), dump
+    return build_run_config(args, optional=("out",)), dump
 
 
 class TestConfigValues:
@@ -544,12 +571,16 @@ class TestConfigValues:
     @given(
         ini=st.booleans(),
         values=st.lists(
-            st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
+            st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES)
+            | st.tuples(st.just(("paths", "out")), PATH_VALUES),
             min_size=1,
             max_size=3,
         ),
     )
     @example(ini=False, values=[(("pvdm", "dim"), float("inf"))])  # int(inf): OverflowError
+    @example(ini=False, values=[(("paths", "out"), " x.txt ")])  # INI strips the spaces
+    @example(ini=False, values=[(("paths", "out"), "c%1.jsonl")])  # "%" interpolates in INI
+    @example(ini=False, values=[(("paths", "out"), "a\rb")])  # read back as two lines
     @example(ini=True, values=[(("train", "lr"), "nan")])  # would not equal itself once read back
     @settings(max_examples=150, deadline=None)
     def test_mutated_values_are_refused_or_round_trip(self, tmp_path_factory, ini, values):
@@ -625,6 +656,36 @@ class TestArtifacts:
     def test_text_model_round_trips(self, workspace):
         model = load_model(str(workspace / "text.pv"))
         assert model.doc_vectors.shape == (200, 12)
+        assert (model.config.window, model.config.epochs, model.config.min_count) == (2, 2, 1)
+        assert model.doc_ids == load_corpus(str(workspace / "corpus.jsonl")).ids()
+
+    def test_train_text_prints_epochs_then_saves(self, workspace, tmp_path, capsys):
+        assert run("train-text", "--corpus", workspace / "corpus.jsonl",
+                   "--model-out", tmp_path / "t.pv", "--embeddings-out", tmp_path / "e.jsonl",
+                   "--dim", 4, "--epochs", 3, "--min-count", 1, "--json-logs") == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(e["event"], e.get("stage"), e.get("epoch")) for e in events] == [
+            ("epoch", "pvdm", 0), ("epoch", "pvdm", 1), ("epoch", "pvdm", 2),
+            ("saved", None, None), ("saved", None, None),
+        ]
+        assert load_model(str(tmp_path / "t.pv")).epoch_losses == []  # not saved
+        assert "model" in events[3] and "embeddings" in events[4]
+
+    def test_window_beyond_int64_infers_as_the_longest_document(self, tmp_path, capsys):
+        """A window of 2**63 - 2 is carried by the model file; inference
+        clamps it to the longest document, where it gives the bits of any
+        window at least that long."""
+        corpus = tmp_path / "c.jsonl"
+        save_corpus(make_corpus([("a", "red blue red green", SideLabel.LEFT),
+                                 ("b", "blue green green red blue", SideLabel.RIGHT)]),
+                    str(corpus))
+        for window in (2**63 - 2, 5):
+            assert run("train-text", "--corpus", corpus, "--model-out", tmp_path / f"{window}.pv",
+                       "--dim", 3, "--epochs", 2, "--min-count", 1, "--window", window) == 0
+            assert load_model(str(tmp_path / f"{window}.pv")).config.window == window
+            assert run("infer-text", "--model", tmp_path / f"{window}.pv", "--corpus", corpus,
+                       "--embeddings-out", tmp_path / f"{window}.jsonl", "--steps", 3) == 0
+        assert (tmp_path / f"{2**63 - 2}.jsonl").read_bytes() == (tmp_path / "5.jsonl").read_bytes()
 
     def test_training_embeddings_unit_norm(self, workspace):
         embeddings = load_embeddings(str(workspace / "emb.bin"))
@@ -854,31 +915,59 @@ class TestUndecodableEmbeddingsAndConfig:
 
 
 class TestCorruptCountField:
-    """A model or checkpoint whose header declares 2**32 - 1 of something
-    exits 3 with one input error line, not with a MemoryError traceback."""
+    """A model or checkpoint whose header declares 2**32 - 1 of something, or
+    that is of the first version, exits 3 with one input error line, not with
+    a MemoryError traceback."""
 
-    def corrupt(self, source, tmp_path, offset):
-        data = bytearray(source.read_bytes())
-        data[offset:offset + 4] = b"\xff" * 4
+    def corrupt(self, source, tmp_path, key):
         path = tmp_path / source.name
-        path.write_bytes(bytes(data))
+        data = source.read_bytes()
+        if key is None:  # the header's byte length
+            path.write_bytes(data[:8] + b"\xff" * 4 + data[12:])
+        else:
+            path.write_bytes(with_header_field(data, key, 2**32 - 1))
         return path
 
-    def test_infer_text_model_doc_count(self, workspace, tmp_path, capsys):
-        model = self.corrupt(workspace / "text.pv", tmp_path, 16)
+    def first_version(self, source, tmp_path):
+        path = tmp_path / source.name
+        data = source.read_bytes()
+        path.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:])
+        return path
+
+    def infer_text(self, model, workspace, tmp_path, capsys):
         code = run("infer-text", "--model", model, "--corpus", workspace / "corpus.jsonl",
                    "--embeddings-out", tmp_path / "emb.jsonl")
-        assert code == EXIT_INPUT
+        assert code == EXIT_INPUT and not (tmp_path / "emb.jsonl").exists()
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error: input: truncated file: wanted ") and "\n" not in err
-        assert not (tmp_path / "emb.jsonl").exists()
+        assert "\n" not in err
+        return err
 
-    def test_eval_checkpoint_feature_dim(self, workspace, tmp_path, capsys):
-        model = self.corrupt(workspace / "s2.ckpt", tmp_path, 8)
+    def eval_checkpoint(self, model, workspace, capsys):
         code = run("eval", "--corpus", workspace / "corpus.jsonl", "--model", model)
         assert code == EXIT_INPUT
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error: input: truncated file: wanted ") and "\n" not in err
+        assert "\n" not in err
+        return err
+
+    @pytest.mark.parametrize("key", ["dim", None], ids=["dim", "header-length"])
+    def test_infer_text_model_size(self, workspace, tmp_path, capsys, key):
+        model = self.corrupt(workspace / "text.pv", tmp_path, key)
+        err = self.infer_text(model, workspace, tmp_path, capsys)
+        assert err.startswith("error: input: truncated file: wanted ")
+
+    @pytest.mark.parametrize("key", ["feature_dim", None], ids=["feature_dim", "header-length"])
+    def test_eval_checkpoint_size(self, workspace, tmp_path, capsys, key):
+        model = self.corrupt(workspace / "s2.ckpt", tmp_path, key)
+        err = self.eval_checkpoint(model, workspace, capsys)
+        assert err.startswith("error: input: truncated file: wanted ")
+
+    def test_version_1_files_exit_three(self, workspace, tmp_path, capsys):
+        model = self.first_version(workspace / "text.pv", tmp_path)
+        err = self.infer_text(model, workspace, tmp_path, capsys)
+        assert err == "error: input: unsupported model version 1"
+        checkpoint = self.first_version(workspace / "s2.ckpt", tmp_path)
+        err = self.eval_checkpoint(checkpoint, workspace, capsys)
+        assert err == "error: input: unsupported checkpoint version 1"
 
 
 class TestEval:

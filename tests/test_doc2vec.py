@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import struct
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weakbias import doc2vec
@@ -26,6 +28,7 @@ from weakbias.doc2vec import (
     train_pvdm,
 )
 from weakbias.errors import InputError
+from weakbias.pipeline import training_embeddings
 from weakbias.seeding import derive_seed
 from weakbias.synthetic import SyntheticSpec, make_synthetic
 
@@ -40,6 +43,7 @@ from helpers import (
     position_loss,
     position_plan,
     two_topic_corpus,
+    with_header_field,
 )
 
 
@@ -865,6 +869,7 @@ class TestModelFiles:
 
     def test_zero_document_model_round_trips(self, trained, tmp_path):
         trained.doc_vectors = np.zeros((0, trained.dim), dtype=np.float32)
+        trained.doc_ids = []
         path = tmp_path / "m.pvdm"
         save_model(trained, str(path))
         loaded = load_model(str(path))
@@ -983,11 +988,13 @@ class TestModelFiles:
 
 class TestModelFileFuzz:
     """A PVDM file mutated up to three times by truncation, a flipped byte,
-    appended bytes or a u32 count overwritten: loading either raises
-    InputError or gives a model that saves and reloads to the same bytes."""
+    appended bytes, its header length overwritten or a header field set to
+    another value: loading either raises InputError or gives a model that
+    saves and reloads to the same bytes."""
 
-    # dim, vocabulary size, document count and the first word's length.
-    COUNTS = [8, 12, 16, 20]
+    # The header's keys: every PvdmConfig field, dim first, then the
+    # vocabulary and the document ids.
+    KEYS = [f.name for f in dataclasses.fields(PvdmConfig)] + ["words", "counts", "doc_ids"]
 
     @pytest.fixture(scope="class")
     def clean(self):
@@ -999,6 +1006,7 @@ class TestModelFileFuzz:
             doc_vectors=rng.normal(size=(2, 3)).astype(np.float32),
             vocabulary=vocab,
             config=PvdmConfig(dim=3, min_count=1),
+            doc_ids=["d0", "d\u00e9\ud800"],
         )
 
     def saved(self, model, tmp_path, name):
@@ -1012,7 +1020,7 @@ class TestModelFileFuzz:
         tmp_path = tmp_path_factory.mktemp("fuzz")
         data = self.saved(clean, tmp_path, "clean.pvdm").read_bytes()
         for mutation in mutations:
-            data = mutate_binary(data, mutation, self.COUNTS)
+            data = mutate_binary(data, mutation, self.KEYS)
         path = tmp_path / "in.pvdm"
         path.write_bytes(data)
         try:
@@ -1023,13 +1031,14 @@ class TestModelFileFuzz:
         twice = self.saved(load_model(str(once)), tmp_path, "twice.pvdm")
         assert twice.read_bytes() == once.read_bytes()
 
-    @pytest.mark.parametrize("field", range(len(COUNTS)))
-    def test_maximal_count_is_refused_before_reading(self, tmp_path, clean, field):
-        """A count of 2**32 - 1 asks for far more bytes than the file has; the
-        loader says so instead of allocating them."""
+    @pytest.mark.parametrize("mutation", [("length", U32_MAX), ("field", 0, U32_MAX)],
+                             ids=["header-length", "dim"])
+    def test_maximal_size_is_refused_before_reading(self, tmp_path, clean, mutation):
+        """A header length or dim of 2**32 - 1 asks for far more bytes than
+        the file has; the loader says so instead of allocating them."""
         data = self.saved(clean, tmp_path, "clean.pvdm").read_bytes()
         path = tmp_path / "in.pvdm"
-        path.write_bytes(mutate_binary(data, ("count", field, U32_MAX), self.COUNTS))
+        path.write_bytes(mutate_binary(data, mutation, self.KEYS))
         with pytest.raises(InputError, match=r"^truncated file: wanted \d+ bytes, "):
             load_model(str(path))
 
@@ -1039,6 +1048,7 @@ class TestModelFileFuzz:
         short."""
         model = tiny_model({f"w{i}": i + 1 for i in range(200)}, dim=128)
         model.doc_vectors = np.ones((200, 128), np.float32)
+        model.doc_ids = [f"d{i}" for i in range(200)]
         data = self.saved(model, tmp_path, "big.pvdm").read_bytes()
         again = self.saved(load_model(str(tmp_path / "big.pvdm")), tmp_path, "again.pvdm")
         assert again.read_bytes() == data
@@ -1047,12 +1057,131 @@ class TestModelFileFuzz:
         with pytest.raises(InputError, match=message):
             load_model(str(tmp_path / "short.pvdm"))
 
-    def test_maximal_document_count_names_bytes_wanted_and_left(self, tmp_path, clean):
-        data = bytearray(self.saved(clean, tmp_path, "clean.pvdm").read_bytes())
-        data[16:20] = U32_MAX.to_bytes(4, "little")
+    def test_maximal_dim_names_bytes_wanted_and_left(self, tmp_path, clean):
+        data = self.saved(clean, tmp_path, "clean.pvdm").read_bytes()
         path = tmp_path / "in.pvdm"
-        path.write_bytes(bytes(data))
-        left = 2 * 3 * 4  # the two saved document vectors
-        message = f"^truncated file: wanted {U32_MAX * 3 * 4} bytes, {left} left$"
+        path.write_bytes(with_header_field(data, "dim", U32_MAX))
+        left = (4 + 3 + 2) * 3 * 4  # the saved word, node and document vectors
+        message = f"^truncated file: wanted {4 * U32_MAX * 4} bytes, {left} left$"
         with pytest.raises(InputError, match=message):
             load_model(str(path))
+
+    def test_maximal_header_length_names_bytes_wanted_and_left(self, tmp_path, clean):
+        data = self.saved(clean, tmp_path, "clean.pvdm").read_bytes()
+        path = tmp_path / "in.pvdm"
+        path.write_bytes(data[:8] + struct.pack("<I", U32_MAX) + data[12:])
+        message = f"^truncated file: wanted {U32_MAX} bytes, {len(data) - 12} left$"
+        with pytest.raises(InputError, match=message):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("window", True, "header field 'window' must be of type int"),
+        ("initial_lr", 1, "header field 'initial_lr' must be of type float"),
+        ("doc_ids", ["d0", 1], "header field 'doc_ids' must be of type list of str"),
+        ("doc_ids", ["d0"], "trailing bytes after model payload"),
+        ("doc_ids", ["d0", "d0"], "model document ids are not unique"),
+        ("counts", [5, 3, 2], "model header has 4 words but 3 counts"),
+        ("words", ["a", "a", "c", "d"], "model vocabulary has duplicate words"),
+        ("counts", [1, 3, 2, 1], "model vocabulary is not in canonical order"),
+        ("min_count", 2, "model vocabulary is not in canonical order"),
+        ("window", 0, "window must be >= 1, got 0"),
+    ])
+    def test_bad_header_field_is_named(self, tmp_path, clean, key, value, message):
+        data = self.saved(clean, tmp_path, "clean.pvdm").read_bytes()
+        path = tmp_path / "in.pvdm"
+        path.write_bytes(with_header_field(data, key, value))
+        with pytest.raises(InputError, match=message):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("body, message", [
+        (b"\xff", "model header is not UTF-8"),
+        (b"[1]", "model header is not a JSON object"),
+        (b"{", "model header is not valid JSON"),
+        (b'{"dim": 1' + b"0" * 5000 + b"}", "model header is not valid JSON"),
+        (b"[" * 100_000, "model header JSON is nested too deeply"),
+    ], ids=["not-utf8", "not-object", "not-json", "int-digit-limit", "deep"])
+    def test_undecodable_header_is_an_input_error(self, tmp_path, body, message):
+        path = tmp_path / "in.pvdm"
+        path.write_bytes(b"PVDM" + struct.pack("<II", 2, len(body)) + body)
+        with pytest.raises(InputError, match=message):
+            load_model(str(path))
+
+    def test_version_1_is_refused(self, tmp_path):
+        """The first format: u32 dim, vocabulary size and document count, the
+        words as u32-length strings with u64 counts, then the matrices."""
+        path = tmp_path / "v1.pvdm"
+        path.write_bytes(b"PVDM" + struct.pack("<IIII", 1, 1, 1, 0) + struct.pack("<I", 1)
+                         + b"a" + struct.pack("<Q", 1) + struct.pack("<f", 0.5))
+        with pytest.raises(InputError, match="^unsupported model version 1$"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: setattr(m, "doc_ids", ["d0"]),
+         r"^doc_vectors has shape \(2, 3\), the header needs \(1, 3\)$"),
+        (lambda m: setattr(m, "doc_ids", ["d0", "d0"]), "document ids are not unique"),
+        (lambda m: setattr(m, "config", PvdmConfig(dim=4, min_count=1)), "^word_vectors has shape"),
+        (lambda m: setattr(m, "config", PvdmConfig(dim=3, min_count=2)), "canonical order"),
+    ], ids=["id-count", "duplicate-ids", "dim", "min-count"])
+    def test_save_refuses_what_the_loader_would(self, tmp_path, clean, change, message):
+        model = dataclasses.replace(clean)
+        change(model)
+        path = tmp_path / "m.pvdm"
+        path.write_bytes(b"old")
+        with pytest.raises(InputError, match=message):
+            save_model(model, str(path))
+        assert path.read_bytes() == b"old" and [p.name for p in tmp_path.iterdir()] == ["m.pvdm"]
+
+
+ROUND_TRIP_WORDS = ["ant", "bee", "cat", "dog", "eel", "fox"]
+
+
+@st.composite
+def round_trip_cases(draw):
+    """A small corpus (ids with a non-ASCII letter and a lone surrogate
+    among them) and a config to train it with."""
+    docs = draw(st.lists(st.lists(st.sampled_from(ROUND_TRIP_WORDS), min_size=1, max_size=8),
+                         min_size=1, max_size=6))
+    ids = draw(st.permutations([f"d{i}" for i in range(len(docs) - 1)] + ["\u00e9\ud800"]))
+    initial_lr = draw(st.floats(1e-3, 0.1))
+    config = PvdmConfig(
+        dim=draw(st.integers(1, 6)),
+        window=draw(st.integers(1, 4) | st.just(2**63 - 2)),
+        epochs=draw(st.integers(0, 3)),
+        min_count=draw(st.integers(1, 2)),
+        initial_lr=initial_lr,
+        final_lr=draw(st.floats(1e-6, initial_lr)),
+        seed=draw(st.integers(0, 2**40)),
+    )
+    rows = [(i, " ".join(d), SideLabel.LEFT) for i, d in zip(ids, docs)]
+    return make_corpus(rows), config
+
+
+class TestModelRoundTrip:
+    """After train, save and load, the model behaves as the one in memory,
+    bit for bit: the config, the document ids and training embeddings, and
+    what inference and nearest_words give."""
+
+    @given(round_trip_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_reloaded_model_is_the_trained_one(self, tmp_path_factory, case):
+        corpus, config = case
+        counts = Counter(t for sample in corpus for t in sample.tokens)
+        assume(max(counts.values()) >= config.min_count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # documents without a kept word
+            model = train_pvdm(corpus, config)
+        path = tmp_path_factory.mktemp("rt") / "m.pvdm"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded.config == model.config and loaded.doc_ids == model.doc_ids
+        embedded, reloaded = training_embeddings(model), training_embeddings(loaded)
+        assert list(reloaded) == list(embedded)
+        for key, vector in embedded.items():
+            assert reloaded[key].tobytes() == vector.tobytes()
+        docs = [s.tokens for s in corpus if any(t in model.vocabulary for t in s.tokens)]
+        seeds = list(range(len(docs)))
+        assert (infer_documents(loaded, docs, 3, seeds).tobytes()
+                == infer_documents(model, docs, 3, seeds).tobytes())
+        for embed in ("infer", "average"):
+            assert (nearest_words(loaded, docs[0], 3, steps=2, seed=1, embed=embed)
+                    == nearest_words(model, docs[0], 3, steps=2, seed=1, embed=embed))
