@@ -117,6 +117,13 @@ def header_field(header: dict, key: str, kind: type, item: type | None = None):
     return value
 
 
+def finite_in_float32(array: np.ndarray) -> bool:
+    """Whether every value of the array is finite once written as float32;
+    the loaders refuse a file holding any other."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.asarray(array, dtype="<f4")).all())
+
+
 def write_matrix(fh: BinaryIO, matrix: np.ndarray) -> None:
     """Write a 2-D array as float32 little-endian, row-major."""
     fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())

@@ -11,7 +11,10 @@ A separate sigmoid head predicts which curated words co-occur with an image.
 Every loss builds its gradients from one per-layer affine backward step, and
 the trunk's part is one shared function. The four trainers (stage 1, stage
 2, the word head and the direct image-only baseline) differ only in their
-set-up and loss; one minibatch Adam loop fits them all. Every prediction
+set-up, loss and trained layers; one minibatch Adam loop fits them all. It
+makes the trained W and b arrays views of one flat parameter vector and has
+the backward steps write their gradients into views of one flat gradient
+buffer, so an Adam step is one pass over two vectors. Every prediction
 takes the same argmax over (Left, Right) scores, in which a tie is Left.
 """
 
@@ -26,6 +29,7 @@ import numpy as np
 
 from .binio import (
     atomic_write,
+    finite_in_float32,
     header_field,
     read_header,
     read_matrix,
@@ -104,7 +108,8 @@ class BiasModel:
         return {name: layer for name, layer in named.items() if layer is not None}
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays keyed by name; optimizers mutate these."""
+        """Live parameter arrays keyed by name, the names the loss functions
+        store their gradients under."""
         params = {}
         for name, layer in self.layers().items():
             params[f"{name}_W"] = layer.W
@@ -185,9 +190,11 @@ def forward_stage1(model: BiasModel, feature, doc_embedding) -> np.ndarray:
 
 def _affine_backward(grads: dict, name: str, x: np.ndarray, dy: np.ndarray, W=None):
     """Store the gradients of `<name>_W` and `<name>_b` in y = x @ W + b
-    given d loss / d y; return d loss / d x when the layer's `W` is given."""
-    grads[f"{name}_W"] = x.T @ dy
-    grads[f"{name}_b"] = dy.sum(axis=0)
+    given d loss / d y, written into the arrays `grads` already holds under
+    those names if it does; return d loss / d x when the layer's `W` is
+    given."""
+    grads[f"{name}_W"] = np.matmul(x.T, dy, out=grads.get(f"{name}_W"))
+    grads[f"{name}_b"] = np.add.reduce(dy, axis=0, out=grads.get(f"{name}_b"))
     return None if W is None else dy @ W.T
 
 
@@ -200,13 +207,13 @@ def _trunk_backward(model: BiasModel, grads: dict, x, trunk, dh2) -> None:
 
 
 def _fused_head_grads(
-    model: BiasModel, head: Affine, name: str, features, text, loss_fn
+    model: BiasModel, head: Affine, name: str, features, text, loss_fn, grads
 ) -> tuple[float, dict[str, np.ndarray]]:
     """loss_fn(logits) of a head on the fusion output, and the gradients of
-    that head, the fusion layer and the trunk."""
+    that head, the fusion layer and the trunk, stored in `grads`."""
     trunk, joint, f_pre, fused = _fused_forward(model, features, text)
     loss, dlogits = loss_fn(fused @ head.W + head.b)
-    grads: dict[str, np.ndarray] = {}
+    grads = {} if grads is None else grads
     dfused_pre = _affine_backward(grads, name, fused, dlogits, head.W) * (f_pre > 0)
     djoint = _affine_backward(grads, "fusion", joint, dfused_pre, model.fusion.W)
     _trunk_backward(model, grads, features, trunk, djoint[:, : model.hidden_dim])
@@ -219,27 +226,31 @@ def stage1_loss_and_grads(
     text: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
+    grads: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Class-weighted cross-entropy of the stage-1 head and its gradients
-    for every trainable stage-1 parameter."""
+    for every trainable stage-1 parameter. Each loss function returns its
+    gradients in `grads`, written into the arrays it holds when given."""
     loss_fn = partial(weighted_cross_entropy, labels=labels, weights=weights)
-    return _fused_head_grads(model, model.head1, "head1", features, text, loss_fn)
+    return _fused_head_grads(model, model.head1, "head1", features, text, loss_fn, grads)
 
 
 def stage2_loss_and_grads(
-    head2: Affine, trunk_out: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    head2: Affine, trunk_out: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+    grads: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted cross-entropy of the stage-2 linear head over frozen trunk
     outputs."""
     logits = trunk_out @ head2.W + head2.b
     loss, dlogits = weighted_cross_entropy(logits, labels, weights)
-    grads: dict[str, np.ndarray] = {}
+    grads = {} if grads is None else grads
     _affine_backward(grads, "head2", trunk_out, dlogits)
     return loss, grads
 
 
 def image_only_loss_and_grads(
-    model: BiasModel, features: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    model: BiasModel, features: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+    grads: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted cross-entropy of head2(trunk(x)) with the trunk trainable;
     the direct no-text baseline."""
@@ -249,20 +260,21 @@ def image_only_loss_and_grads(
     h2 = trunk[-1]
     logits = h2 @ model.head2.W + model.head2.b
     loss, dlogits = weighted_cross_entropy(logits, labels, weights)
-    grads: dict[str, np.ndarray] = {}
+    grads = {} if grads is None else grads
     dh2 = _affine_backward(grads, "head2", h2, dlogits, model.head2.W)
     _trunk_backward(model, grads, features, trunk, dh2)
     return loss, grads
 
 
 def word_head_loss_and_grads(
-    model: BiasModel, features: np.ndarray, text: np.ndarray, targets: np.ndarray
+    model: BiasModel, features: np.ndarray, text: np.ndarray, targets: np.ndarray,
+    grads: dict | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Multi-label BCE of the word head with trunk and fusion trainable."""
     if model.word_head is None:
         raise InputError("model has no word head")
     loss_fn = partial(bce_with_logits, targets=targets)
-    return _fused_head_grads(model, model.word_head, "word", features, text, loss_fn)
+    return _fused_head_grads(model, model.word_head, "word", features, text, loss_fn, grads)
 
 
 def _training_data(corpus: Corpus, spec: TrainSpec):
@@ -293,24 +305,58 @@ def embedding_matrix(
         raise InputError("document embeddings have inconsistent lengths") from None
 
 
-# history key -> (order sub-seed, name in a divergence error)
+# history key -> (order sub-seed, name in a divergence error, trained layers)
 _FITS = {
-    "stage1": ("stage1-order", "stage-1"),
-    "stage2": ("stage2-order", "stage-2"),
-    "image-only": ("image-only-order", "image-only"),
-    "words": ("word-order", "word-head"),
+    "stage1": ("stage1-order", "stage-1", ("trunk1", "trunk2", "fusion", "head1")),
+    "stage2": ("stage2-order", "stage-2", ("head2",)),
+    "image-only": ("image-only-order", "image-only", ("trunk1", "trunk2", "head2")),
+    "words": ("word-order", "word-head", ("trunk1", "trunk2", "fusion", "word")),
 }
+
+
+def _aligned_zeros(n: int, dtype) -> np.ndarray:
+    """n zeros of dtype starting on a 64-byte boundary."""
+    dtype = np.dtype(dtype)
+    raw = np.zeros(n + 64 // dtype.itemsize, dtype)
+    skip = -raw.ctypes.data % 64 // dtype.itemsize
+    return raw[skip : skip + n]
+
+
+def _flat_views(model: BiasModel, trained) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Rebind the W and b arrays of the trained layers as views of one flat
+    vector holding their values, in layer order; return it, a flat gradient
+    buffer laid out alike, and views of that buffer keyed by parameter name.
+    Each view starts on a 64-byte boundary, zeros padding the gaps: some
+    OpenBLAS kernels (Prescott) round a dot product of an array 8 bytes off
+    a 16-byte boundary differently, and numpy allocates on 16 bytes."""
+    layers = model.layers()
+    arrays = [(f"{name}_{attr}", layers[name], attr) for name in trained for attr in ("W", "b")]
+    dtype = layers[trained[0]].W.dtype
+    unit, starts, size = 64 // dtype.itemsize, [], 0
+    for _, layer, attr in arrays:
+        starts.append(size)
+        size += -(-getattr(layer, attr).size // unit) * unit
+    flat, grad, grads = _aligned_zeros(size, dtype), _aligned_zeros(size, dtype), {}
+    for (key, layer, attr), start in zip(arrays, starts):
+        value = getattr(layer, attr)
+        view = flat[start : start + value.size].reshape(value.shape)
+        view[...] = value
+        setattr(layer, attr, view)
+        grads[key] = grad[start : start + value.size].reshape(value.shape)
+    return flat, grad, grads
 
 
 def _fit(model: BiasModel, key: str, spec: TrainSpec, loss_and_grads, *arrays):
     """Minibatch Adam over the rows of `arrays`: a seeded shuffle each epoch,
-    one step per batch on the parameters that `loss_and_grads(*batch)`
-    returns gradients for, and the mean loss per epoch recorded as
-    model.history[key]. Returns the model."""
-    order_seed, name = _FITS[key]
+    one step per batch on the trained layers _FITS names for `key`, whose
+    gradients `loss_and_grads(*batch, grads=...)` writes into views of one
+    flat buffer, and the mean loss per epoch recorded as model.history[key].
+    The trained W and b arrays become views of one flat vector (_flat_views),
+    which Adam updates in place. Returns the model."""
+    order_seed, name, trained = _FITS[key]
     order = np.random.default_rng(derive_seed(spec.seed, order_seed))
-    adam = Adam(lr=spec.lr)
-    params = model.parameters()
+    params, grad, grads = _flat_views(model, trained)
+    adam = Adam(params, lr=spec.lr)
     n = len(arrays[0])
     losses = []
     for _ in range(spec.epochs):
@@ -318,8 +364,8 @@ def _fit(model: BiasModel, key: str, spec: TrainSpec, loss_and_grads, *arrays):
         total = 0.0
         for start in range(0, n, spec.batch_size):
             idx = perm[start : start + spec.batch_size]
-            loss, grads = loss_and_grads(*(array[idx] for array in arrays))
-            adam.step(params, grads)
+            loss, _ = loss_and_grads(*(array[idx] for array in arrays), grads=grads)
+            adam.step(grad)
             if not np.isfinite(loss):
                 raise NumericError(f"{name} loss diverged to {loss}")
             total += loss * len(idx)
@@ -527,8 +573,9 @@ def save_checkpoint(model: BiasModel, path: str) -> None:
     """Binary checkpoint: a header with the four dims, the present layers
     and the visual words, then each layer's W and b as little-endian
     float32. Training history is a run artifact and is not persisted. A
-    model whose layers do not have the shapes the header gives raises
-    InputError before the file is opened."""
+    model whose layers do not have the shapes the header gives, or hold a
+    value not finite in float32, raises InputError before the file is
+    opened."""
     layers = [name for name in ("trunk1", "trunk2", "fusion", "head1", "head2", "word_head")
               if getattr(model, name) is not None]
     header = {"feature_dim": model.feature_dim, "hidden": model.hidden_dim,
@@ -539,6 +586,9 @@ def save_checkpoint(model: BiasModel, path: str) -> None:
         if W.shape != (n_in, n_out) or b.shape != (n_out,):
             raise InputError(f"{name} has shapes {W.shape} and {b.shape}, but the dims "
                              f"and {len(model.visual_words)} visual words need {(n_in, n_out)}")
+        for array, values in (("W", W), ("b", b)):
+            if not finite_in_float32(values):
+                raise InputError(f"model has a non-finite value in {name} {array}")
     with atomic_write(path, binary=True) as fh:
         write_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header)
         for name in layers:

@@ -244,13 +244,15 @@ def read_float_rows(path: str, parse, label: str, *, header=None,
     declares; otherwise the first row's length is the file's. Each other
     line that is not blank is decoded and handed to parse(obj, lineno),
     which checks the format's own fields and returns the line's id, row and
-    item. A row must be a list of that many JSON numbers and is rounded once
-    to float32. Invalid or too deeply nested JSON, a repeated id, and a row
-    of another type or length or not finite in float32 raise InputError
-    naming the line and, for a row, its id (label.format of it), the first
-    bad line first; bytes that are not UTF-8 name the file. Given a list as
-    lines, each row line is appended to it as read, a newline added to a
-    last line without one.
+    item. Lines end at LF only: a CR elsewhere is JSON whitespace (or,
+    inside a string, invalid JSON). A row must be a list of that many JSON
+    numbers and is rounded once to float32. Invalid or too deeply nested
+    JSON, a repeated id, and a row of another type or length or not finite
+    in float32 raise InputError naming the line and, for a row, its id
+    (label.format of it), the first bad line first; bytes that are not
+    UTF-8 name the file. Given a list as lines, each row line is appended
+    to it as read, a CR before its LF kept and a newline added to a last
+    line without one.
     """
     ids: dict[str, int] = {}  # id -> line, in file order, one per block row
     items: list = []
@@ -259,7 +261,7 @@ def read_float_rows(path: str, parse, label: str, *, header=None,
     block = np.empty((0, 0), dtype=np.float32)
     try:
         # Beyond the float32 range becomes inf, rejected once the rows are read.
-        with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
+        with open(path, "r", encoding="utf-8", newline="\n") as fh, np.errstate(over="ignore"):
             if header is not None:
                 dim = header(fh.readline())
                 expected = f"declared feature_dim {dim}"

@@ -36,6 +36,7 @@ import numpy as np
 from .binio import (
     U32_MAX,
     atomic_write,
+    finite_in_float32,
     header_field,
     read_header,
     read_matrix,
@@ -120,14 +121,18 @@ def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim:
     is (params rows: path nodes, sorted unique window words, document; the
     buffers shared with the positions of its n and u unique window words,
     then n; weights, None if m == 1; repeats as a column, None if all are 1;
-    m; 2 bits - 1)."""
+    m as a 0-d array; 2 bits - 1). The buffers are the gathered records and
+    float views of them: the path nodes, the window words, the document as
+    a vector and as a row, and the window words with the document; the
+    coefficients as a vector and as a column, g, the context as a vector
+    and as a row, and delta."""
     n_words, depth = len(vocab), max(p.size for p in vocab.paths)
     node_rows = [(p + n_words).tolist() for p in vocab.paths]
     neg_signs = [2.0 * c.astype(dtype) - 1.0 for c in vocab.codes]
     window = min(window, max(row.size for row in rows) - 1)
     ones = np.ones(2 * window, dtype)
     ones = [ones[:k] for k in range(2 * window + 1)]  # views: memory linear in the window
-    m_values = [dtype.type(m) for m in range(2 * window + 2)]
+    m_values = [np.array(m, dtype) for m in range(2 * window + 2)]  # 0-d: no scalar casts
     docs = [(doc_row, row) for doc_row, row in enumerate(rows, n_words + vocab.n_inner_nodes)
             if row.size]
     path_lengths = np.array([p.size for p in vocab.paths], np.int8)  # u64 counts: depth < 93
@@ -153,7 +158,8 @@ def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim:
             if shape not in buffers:
                 view = floats[: n + len(uniq) + 1]
                 buffers[shape] = (block[: n + len(uniq) + 1], view[:n], view[n:-1], view[-1],
-                                  view[n:], coef[:n, 0], coef[:n], g[:n], context, delta, n)
+                                  view[-1:], view[n:], coef[:n, 0], coef[:n], g[:n], context,
+                                  context[None], delta, n)
             weights, repeats = (ones[len(ctx)] if ctx else None), None
             if len(uniq) < len(ctx):  # a word repeats: the weights are its counts
                 key = tuple(map(ctx.count, uniq))
@@ -162,7 +168,7 @@ def _document_plans(rows: list[np.ndarray], vocab: Vocabulary, window: int, dim:
                 weights, repeats = repeated[key]
             doc_positions.append((buffers[shape], weights, repeats, m_values[len(ctx) + 1],
                                   neg_signs[word]))
-        m[len(positions) : len(positions) + len(tokens)] = [p[3] for p in doc_positions]
+            m[len(positions) + t] = len(ctx) + 1
         flat = np.array(flat, np.intp)
         positions += [(flat[a:b], *p) for a, b, p in zip([0] + ends, ends, doc_positions)]
     return positions, m, lengths, doc_ends, losses
@@ -175,8 +181,17 @@ def _sgd_pass(records: np.ndarray, plan: tuple, lrs, steps) -> float:
     those of the plain update: the gather and the write-back copy whole
     records, each in-place ufunc is the IEEE operation of the plain
     expression (commuted at most), and np.dot makes the BLAS call matmul
-    would. The positions of path length n write their probabilities into
-    the rows of its loss block in turn. After the pass, one log and one
+    would. The node gradient g, the outer product of the coefficients and
+    the context, is np.dot of a column and a row: a gemm with K = 1 (an axpy
+    when n or dim is 1), so on finite inputs each element is one rounded
+    product, as in the broadcast multiply coef[:, None] * context, except
+    that the kernel adds the product to a zero, which turns -0.0 into +0.0.
+    That sign cannot reach the result: g only moves the node vectors, by
+    `nodes -= g`, and x - (+0.0) and x - (-0.0) differ only for x = -0.0,
+    which no node holds: the node vectors start at +0.0, and in
+    round-to-nearest x - y is -0.0 only when x is. The positions of path
+    length n write their probabilities into the rows of its loss block in
+    turn. After the pass, one log and one
     row-wise add.reduce per path length give each position's log-probability
     (a row of a (k, n) block sums as a reduce of that row alone does; padded
     rows would not), and the losses are summed as the plain loop does: a
@@ -185,12 +200,16 @@ def _sgd_pass(records: np.ndarray, plan: tuple, lrs, steps) -> float:
     positions, _, lengths, ends, losses = plan
     one, clip = np.array(1.0, lrs.dtype), np.array(60.0, lrs.dtype)  # 0-d: no scalar casts
     loss_rows = [iter(loss) for loss in losses]
+    # A ufunc takes a 0-d array faster than a scalar; filling one costs less than the difference.
+    lr_now, step_now = np.empty((), lrs.dtype), np.empty((), lrs.dtype)
     for (rows, buffers, weights, repeats, m, neg_signs), lr, step in zip(positions, lrs, steps):
-        block, nodes, words, doc, tail, coef, coef_col, g, ctx, delta, n = buffers
+        block, nodes, words, doc, doc_row, tail, coef, coef_col, g, ctx, ctx_row, delta, n = (
+            buffers)
         records.take(rows, out=block, mode="clip")  # in range; "raise" would buffer `out`
-        context = doc
+        lr_now[()], step_now[()] = lr, step
+        context, context_row = doc, doc_row
         if weights is not None:
-            context = np.dot(weights, words, ctx)
+            context, context_row = np.dot(weights, words, ctx), ctx_row
             context += doc
             context /= m
         probs = np.dot(nodes, context, next(loss_rows[n]))  # -s z, then its sigmoid, in place
@@ -202,9 +221,9 @@ def _sgd_pass(records: np.ndarray, plan: tuple, lrs, steps) -> float:
         np.subtract(one, probs, out=coef)  # d(-log sigmoid(s z)) / dz, over s
         coef *= neg_signs
         np.dot(coef, nodes, delta)
-        delta *= step
-        np.multiply(coef_col, context, out=g)
-        g *= lr
+        delta *= step_now
+        np.dot(coef_col, context_row, g)
+        g *= lr_now
         nodes -= g
         if repeats is None:
             tail += delta
@@ -476,15 +495,18 @@ def save_model(model: PvdmModel, path: str) -> None:
     field, the words and their counts in vocabulary order and the document
     ids, then the word, inner-node and document vectors as float32 LE. A
     model the loader would refuse (a header it rejects, matrices of other
-    shapes) raises InputError before the file is opened."""
+    shapes or with a value not finite in float32) raises InputError before
+    the file is opened."""
     vocab = model.vocabulary
     header = {**dataclasses.asdict(model.config), "words": vocab.words, "counts": vocab.counts,
               "doc_ids": model.doc_ids}
     shapes = _parse_model_header(header)[1]
     for name, shape in shapes.items():
-        if np.shape(getattr(model, name)) != shape:
-            raise InputError(f"{name} has shape {np.shape(getattr(model, name))}, "
-                             f"the header needs {shape}")
+        matrix = getattr(model, name)
+        if np.shape(matrix) != shape:
+            raise InputError(f"{name} has shape {np.shape(matrix)}, the header needs {shape}")
+        if not finite_in_float32(matrix):
+            raise InputError(f"model has a non-finite value in its {name.replace('_', ' ')}")
     with atomic_write(path, binary=True) as fh:
         write_header(fh, PVDM_MAGIC, PVDM_VERSION, header)
         for name in shapes:

@@ -3,13 +3,16 @@
 Everything operates on plain numpy arrays with batch-first shapes. Weight
 matrices are stored (in_dim, out_dim) so a forward pass is `x @ W + b`;
 gradients come back in the same layout. Losses return (value, dlogits) so
-each model assembles its own backward pass from one chain of matmuls.
+each model assembles its own backward pass from one chain of matmuls. Adam
+works on one flat parameter vector, of which a model's trained arrays are
+views, so a step costs a fixed number of array operations however many
+arrays the model has.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,11 +81,12 @@ def weighted_cross_entropy(
             f"{weights.shape[0]} weights"
         )
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    ex = np.exp(shifted)
+    z = ex.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    log_probs = shifted[rows, labels] - log_z
+    log_probs = shifted[rows, labels] - np.log(z[:, 0])
     loss = float((-weights * log_probs).mean())
-    dlogits = softmax(logits)
+    dlogits = np.divide(ex, z, out=ex)  # softmax(logits), from the same exp and sums
     dlogits[rows, labels] -= 1.0
     dlogits *= (weights / n)[:, None]
     return loss, dlogits
@@ -110,29 +114,59 @@ def bce_with_logits(
     return loss, dlogits
 
 
+# Elements per chunk of an Adam step; its two scratch buffers are this long.
+_ADAM_CHUNK = 16384
+
+
 @dataclass
 class Adam:
-    """Name-keyed Adam with bias correction; updates parameters in place."""
+    """Adam with bias correction over one flat parameter vector, updated in
+    place. The state is two arrays of its size, the first and second
+    moments. A step makes one pass over the vector in _ADAM_CHUNK-element
+    chunks, each a run of in-place ufuncs into two chunk-sized scratch
+    buffers. Each ufunc is the IEEE operation of the plain per-array
+    expression (commuted at most), so every element gets the bits of
 
+        m += (1 - beta1) * (g - m)
+        v += (1 - beta2) * (g * g - v)
+        p -= lr * (m / m_corr) / (sqrt(v / v_corr) + eps)
+
+    with m_corr = 1 - beta1**t and v_corr = 1 - beta2**t. An element whose
+    gradient is always 0 keeps its value."""
+
+    params: np.ndarray  # flat
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    _state: dict = field(default_factory=dict)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def __post_init__(self) -> None:
+        self._m = np.zeros_like(self.params)
+        self._v = np.zeros_like(self.params)
+        self._scratch = np.empty((2, min(self.params.size, _ADAM_CHUNK)), self.params.dtype)
+
+    def step(self, grad: np.ndarray) -> None:
+        """One update of the parameters by `grad`, a vector of their size."""
         self.t += 1
         m_corr = 1.0 - self.beta1**self.t
         v_corr = 1.0 - self.beta2**self.t
-        for name, grad in grads.items():
-            param = params[name]
-            if name not in self._state:
-                self._state[name] = (
-                    np.zeros_like(param),
-                    np.zeros_like(param),
-                )
-            m, v = self._state[name]
-            m += (1.0 - self.beta1) * (grad - m)
-            v += (1.0 - self.beta2) * (grad * grad - v)
-            param -= self.lr * (m / m_corr) / (np.sqrt(v / v_corr) + self.eps)
+        c1, c2, lr, eps = 1.0 - self.beta1, 1.0 - self.beta2, self.lr, self.eps
+        for start in range(0, self.params.size, _ADAM_CHUNK):
+            end = start + _ADAM_CHUNK
+            p, g, m, v = (a[start:end] for a in (self.params, grad, self._m, self._v))
+            a, b = self._scratch[0, : p.size], self._scratch[1, : p.size]
+            np.subtract(g, m, out=a)
+            a *= c1
+            m += a
+            np.multiply(g, g, out=a)
+            a -= v
+            a *= c2
+            v += a
+            np.divide(m, m_corr, out=a)
+            a *= lr
+            np.divide(v, v_corr, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            p -= a

@@ -1,6 +1,7 @@
 """Builders for tiny hand-made corpora used across the test suite, the
 PV-DM oracles (the position plan, the per-position loss and its gradients,
-and the hierarchical-softmax probability) that the trainer and the
+and the hierarchical-softmax probability) and the classifier's training
+oracle (name-keyed Adam and the minibatch loop) that the trainers and the
 acceptance checks are tested against, and the mutations the binary-file
 fuzz tests apply."""
 
@@ -11,9 +12,11 @@ from collections import Counter
 import numpy as np
 from hypothesis import strategies as st
 
+from weakbias.classifier import _FITS
 from weakbias.corpus import Corpus, Sample, SideLabel
 from weakbias.doc2vec import PvdmModel
 from weakbias.errors import InputError
+from weakbias.seeding import derive_seed
 
 
 def make_sample(sample_id, text, side, source="src", topics=(), feature=None, dim=4):
@@ -39,6 +42,46 @@ def make_corpus(rows, dim=4):
         source = row[3] if len(row) > 3 else "src"
         samples.append(make_sample(sample_id, text, side, source=source, dim=dim))
     return Corpus(dim, samples)
+
+
+class NamedAdam:
+    """The plain Adam expression, one parameter array at a time with state
+    keyed by name: the oracle of nn.Adam's flat, chunked step."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t, self.state = 0, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        m_corr = 1.0 - self.beta1**self.t
+        v_corr = 1.0 - self.beta2**self.t
+        for name, grad in grads.items():
+            param = params[name]
+            m, v = self.state.setdefault(name, (np.zeros_like(param), np.zeros_like(param)))
+            m += (1.0 - self.beta1) * (grad - m)
+            v += (1.0 - self.beta2) * (grad * grad - v)
+            param -= self.lr * (m / m_corr) / (np.sqrt(v / v_corr) + self.eps)
+
+
+def reference_fit(model, key, spec, loss_and_grads, *arrays):
+    """The minibatch loop classifier._fit restructures: the same seeded
+    shuffle and batches, fresh gradients from loss_and_grads(*batch) and a
+    NamedAdam step on the parameters they are given for; the mean loss per
+    epoch goes to model.history[key]."""
+    order = np.random.default_rng(derive_seed(spec.seed, _FITS[key][0]))
+    adam, params, n, losses = NamedAdam(spec.lr), model.parameters(), len(arrays[0]), []
+    for _ in range(spec.epochs):
+        perm = order.permutation(n)
+        total = 0.0
+        for start in range(0, n, spec.batch_size):
+            idx = perm[start : start + spec.batch_size]
+            loss, grads = loss_and_grads(*(array[idx] for array in arrays))
+            adam.step(params, grads)
+            total += loss * len(idx)
+        losses.append(total / n)
+    model.history[key] = losses
+    return model
 
 
 def preactivation_margin(model, x, e=None):
@@ -283,6 +326,15 @@ def with_header_field(data, key, value):
     header[key] = value
     raw = json.dumps(header).encode("ascii")
     return data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + n :]
+
+
+def with_float_replaced(data, old, new):
+    """A binary file with the one float32 in it whose bytes are those of
+    `old` set to `new`: how a test makes a file holding a value that the
+    writers refuse to save."""
+    old_bytes = struct.pack("<f", old)
+    assert data.count(old_bytes) == 1
+    return data.replace(old_bytes, struct.pack("<f", new))
 
 
 def mutate_binary(data, mutation, keys):

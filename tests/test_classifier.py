@@ -2,6 +2,7 @@
 
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,18 +12,22 @@ from hypothesis import strategies as st
 from helpers import (
     BINARY_MUTATIONS,
     U32_MAX,
+    NamedAdam,
     clean_batch,
     fd_check,
     feature_corpus,
     make_corpus,
     make_sample,
     mutate_binary,
+    reference_fit,
+    with_float_replaced,
     with_header_field,
 )
 from weakbias.corpus import ClassWeights, Corpus, SideLabel
 from weakbias.classifier import (
     BiasModel,
     TrainSpec,
+    _fit,
     ablate_zero_text,
     argmax_sides,
     build_model,
@@ -42,7 +47,14 @@ from weakbias.classifier import (
     word_head_loss_and_grads,
 )
 from weakbias.errors import InputError
-from weakbias.nn import Adam, Affine, bce_with_logits, softmax, weighted_cross_entropy
+from weakbias.nn import (
+    _ADAM_CHUNK,
+    Adam,
+    Affine,
+    bce_with_logits,
+    softmax,
+    weighted_cross_entropy,
+)
 
 
 def tiny_model(seed=0, f_dim=8, hidden=6, fused=5, text_dim=7):
@@ -61,6 +73,56 @@ def toy_batch(rng, n, model, with_text=True):
     y = rng.integers(0, 2, size=n)
     w = rng.uniform(0.5, 2.0, size=n)
     return x, e, y, w
+
+
+def fit_loss(key, model):
+    """The loss_and_grads a trainer hands _fit for history key `key`."""
+    if key == "stage2":
+        return partial(stage2_loss_and_grads, model.head2)
+    loss = {"stage1": stage1_loss_and_grads, "image-only": image_only_loss_and_grads,
+            "words": word_head_loss_and_grads}[key]
+    return partial(loss, model)
+
+
+def fit_setup(key, dtype, f_dim, hidden, fused, text_dim, n_words, n, seed):
+    """A model in `dtype` with both extra heads and n rows of the arrays
+    the trainer of history key `key` hands _fit: features, embeddings,
+    frozen trunk outputs, labels, weights or word targets."""
+    rng = np.random.default_rng(seed)
+    model = build_model(f_dim, hidden=hidden, fused=fused, text_dim=text_dim, seed=seed,
+                        dtype=dtype)
+    model.head2 = Affine.create(rng, hidden, 2, dtype)
+    model.word_head = Affine.create(rng, fused, n_words, dtype)
+    model.visual_words = [f"w{j}" for j in range(n_words)]
+    features = rng.normal(size=(n, f_dim)).astype(dtype)
+    text = rng.normal(size=(n, text_dim)).astype(dtype)
+    labels = rng.integers(0, 2, size=n)
+    weights = rng.uniform(0.5, 2.0, size=n).astype(dtype)
+    arrays = {
+        "stage1": (features, text, labels, weights),
+        "stage2": (rng.uniform(0, 2, size=(n, hidden)).astype(dtype), labels, weights),
+        "image-only": (features, labels, weights),
+        "words": (features, text, rng.integers(0, 2, size=(n, n_words)).astype(dtype)),
+    }[key]
+    return model, arrays
+
+
+@st.composite
+def fit_cases(draw):
+    """(history key, model, spec, training arrays) for one _fit (fit_setup)
+    at drawn widths and row count, in float32 or float64."""
+    key = draw(st.sampled_from(["stage1", "stage2", "image-only", "words"]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    widths = [draw(st.integers(1, 6)) for _ in range(5)]
+    n, seed = draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
+    model, arrays = fit_setup(key, dtype, *widths, n, seed)
+    spec = TrainSpec(
+        epochs=draw(st.integers(1, 3)),
+        lr=draw(st.sampled_from([1e-4, 1e-2, 0.5])),
+        batch_size=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 99)),
+    )
+    return key, model, spec, arrays
 
 
 def multimodal_corpus(n=80, f_dim=8, t_dim=7, seed=0, noise=0.5):
@@ -100,6 +162,32 @@ class TestLosses:
         want = -np.log(probs[np.arange(9), labels]).mean()
         np.testing.assert_allclose(loss, want, rtol=1e-12)
 
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.integers(1, 70),
+        k=st.integers(2, 4),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_is_softmax_minus_one_hot_bitwise(self, dtype, n, k, scale, seed):
+        """The gradient reuses the loss's exp and row sums; its bits are
+        those of softmax(logits) with 1 taken from each label's entry, times
+        weight / n, and the loss is that of the separate log-sum-exp."""
+        rng = np.random.default_rng(seed)
+        logits = (rng.normal(size=(n, k)) * scale).astype(dtype)
+        labels = rng.integers(0, k, size=n)
+        weights = rng.uniform(0.5, 2.0, size=n).astype(dtype)
+        loss, dlogits = weighted_cross_entropy(logits, labels, weights)
+        rows = np.arange(n)
+        want = softmax(logits)
+        want[rows, labels] -= 1.0
+        want *= (weights / n)[:, None]
+        assert dlogits.dtype == want.dtype and dlogits.tobytes() == want.tobytes()
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted[rows, labels] - np.log(np.exp(shifted).sum(axis=1))
+        assert loss == float((-weights * log_probs).mean())
+
     def test_bce_zero_logits_is_ln2_per_output(self):
         rng = np.random.default_rng(1)
         targets = rng.integers(0, 2, size=(3, 5)).astype(float)
@@ -124,16 +212,76 @@ class TestAdam:
         """With bias correction, step one reduces to lr * g / (|g| + eps)."""
         param = np.zeros(3)
         grad = np.array([0.5, -2.0, 1e-12])
-        adam = Adam(lr=0.1)
-        adam.step({"p": param}, {"p": grad})
         want = -0.1 * grad / (np.abs(grad) + 1e-8)
+        Adam(param, lr=0.1).step(grad)
         np.testing.assert_allclose(param, want, rtol=1e-10)
 
-    def test_state_is_per_name(self):
-        a, b = np.zeros(2), np.zeros(2)
-        adam = Adam(lr=0.1)
-        adam.step({"a": a, "b": b}, {"a": np.ones(2), "b": -np.ones(2)})
-        np.testing.assert_allclose(a, -b, rtol=1e-12)
+    def test_state_is_per_element(self):
+        param = np.zeros(4)
+        Adam(param, lr=0.1).step(np.array([1.0, 1.0, -1.0, -1.0]))
+        np.testing.assert_allclose(param[:2], -param[2:], rtol=1e-12)
+
+
+class TestFlatStep:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_step_matches_name_keyed_adam(self, dtype):
+        """A vector spanning three chunks, the last one short, viewed as three
+        named arrays whose bounds fall inside chunks: eight steps of
+        gradients of mixed scales give the oracle's bits in every array."""
+        size = 2 * _ADAM_CHUNK + 1000
+        rng = np.random.default_rng(4)
+        flat = rng.normal(size=size).astype(dtype)
+        cuts = [0, 700, _ADAM_CHUNK + 300, size]
+        named = {f"p{i}": flat[a:b].copy() for i, (a, b) in enumerate(zip(cuts, cuts[1:]))}
+        adam, oracle = Adam(flat, lr=0.01), NamedAdam(0.01)
+        for _ in range(8):
+            grad = (rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size)).astype(dtype)
+            oracle.step(named, {k: grad[a:b] for k, a, b in zip(named, cuts, cuts[1:])})
+            adam.step(grad)
+        assert flat.tobytes() == np.concatenate(list(named.values())).tobytes()
+
+    @given(case=fit_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_fit_matches_name_keyed_loop(self, case):
+        """Stage 1, stage 2, the image-only and the word-head trainer's _fit
+        on a drawn model and data, float32 or float64: every parameter, the
+        frozen ones included, and the loss history equal the plain loop's
+        (reference_fit) bit for bit."""
+        self.check_fit(*case)
+
+    @pytest.mark.parametrize("key", ["stage1", "stage2", "image-only", "words"])
+    def test_fit_at_workload_shape(self, key):
+        """train-pipeline's widths (64 features, hidden 64, fused 12, text
+        dim 96) and batch size 64 over 200 rows, whose BLAS kernels the
+        drawn widths never reach: the plain loop's bits after 3 epochs."""
+        model, arrays = fit_setup(key, np.float32, 64, 64, 12, 96, 20, 200, 5)
+        self.check_fit(key, model, TrainSpec(epochs=3, lr=2e-3, seed=1), arrays)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trained_arrays_are_aligned_views_of_one_vector(self, dtype):
+        """After the image-only _fit, trunk and head2 arrays are views of one
+        vector, each starting on a 64-byte boundary (an array 8 bytes off a
+        16-byte one rounds some dot products differently under the Prescott
+        kernel); the fusion and stage-1 head arrays are the model's own."""
+        model, arrays = fit_setup("image-only", dtype, 3, 5, 2, 3, 1, 4, 0)
+        frozen = [model.fusion.W, model.fusion.b, model.head1.W, model.head1.b]
+        _fit(model, "image-only", TrainSpec(epochs=1), fit_loss("image-only", model), *arrays)
+        trained = [getattr(layer, a) for layer in (model.trunk1, model.trunk2, model.head2)
+                   for a in ("W", "b")]
+        assert len({id(array.base) for array in trained}) == 1
+        assert all(array.ctypes.data % 64 == 0 for array in trained)
+        now = [model.fusion.W, model.fusion.b, model.head1.W, model.head1.b]
+        assert all(a is b for a, b in zip(now, frozen))
+
+    @staticmethod
+    def check_fit(key, model, spec, arrays):
+        fitted, expected = model.copy(), model.copy()
+        _fit(fitted, key, spec, fit_loss(key, fitted), *arrays)
+        reference_fit(expected, key, spec, fit_loss(key, expected), *arrays)
+        assert fitted.history == expected.history
+        for name, array in expected.parameters().items():
+            got = fitted.parameters()[name]
+            assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
 
 
 class TestForwardStage1:
@@ -600,11 +748,19 @@ class TestCheckpoints:
         model.head2 = Affine.create(rng, 6, 2)
         model.word_head = Affine.create(rng, 5, 2)
         model.visual_words = ["cat", "dog"]
-        getattr(getattr(model, layer), array).flat[-1] = value
+        getattr(getattr(model, layer), array).flat[-1] = 1234.5
         path = tmp_path / "model.bin"
         save_checkpoint(model, str(path))
-        with pytest.raises(InputError, match=f"non-finite value in {layer} {array}$"):
+        path.write_bytes(with_float_replaced(path.read_bytes(), 1234.5, value))
+        with pytest.raises(InputError, match=f"^checkpoint has a non-finite value in {layer} "
+                                             f"{array}$"):
             load_checkpoint(str(path))
+        getattr(getattr(model, layer), array).flat[-1] = value
+        path.unlink()
+        with pytest.raises(InputError, match=f"^model has a non-finite value in {layer} "
+                                             f"{array}$"):
+            save_checkpoint(model, str(path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_maximal_feature_dim_names_bytes_wanted_and_left(self, tmp_path):
         """fh.read would allocate every byte a corrupt size asks for."""

@@ -326,6 +326,43 @@ def _feature_corpus(rows):
     return Corpus(rows.shape[1], samples)
 
 
+def _corpus_file(path):
+    corpus = make_corpus([("a", "one two", SideLabel.LEFT), ("b", "three", SideLabel.RIGHT)])
+    save_corpus(corpus, path)
+    return lambda p: [(s.id, s.source, s.side, s.topics, s.raw_text, s.feature.tobytes())
+                      for s in load_corpus(p)]
+
+
+def _sidecar_file(path):
+    save_embeddings({"a": [0.5, -1.25e-3], "b": [1e30, -0.0]}, path)
+    return lambda p: [(key, row.tobytes()) for key, row in load_embeddings(p).items()]
+
+
+class TestLineEndings:
+    """Lines end at LF: a bare CR between JSON tokens is whitespace, and a
+    CRLF file loads to the arrays of the LF one."""
+
+    @pytest.mark.parametrize("write", [_corpus_file, _sidecar_file], ids=["corpus", "sidecar"])
+    @pytest.mark.parametrize("edit", [
+        lambda lf: lf.replace(b'{"id": ', b'{"id":\r ').replace(b", ", b",\r"),
+        lambda lf: lf.replace(b"\n", b"\r\n"),
+    ], ids=["bare-cr-between-tokens", "crlf"])
+    def test_loads_as_the_lf_file(self, tmp_path, write, edit):
+        lf, edited = tmp_path / "lf.jsonl", tmp_path / "edited.jsonl"
+        load = write(str(lf))
+        edited.write_bytes(edit(lf.read_bytes()))
+        assert edited.read_bytes().count(b"\r") >= 2
+        assert load(str(edited)) == load(str(lf))
+
+    def test_crlf_corpus_round_trips(self, tmp_path):
+        """A CRLF corpus, loaded and saved, is the LF file save_corpus wrote."""
+        lf, crlf, again = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl", tmp_path / "again.jsonl"
+        _corpus_file(str(lf))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        save_corpus(load_corpus(str(crlf)), str(again))
+        assert again.read_bytes() == lf.read_bytes()
+
+
 class TestFeatureRoundTrip:
     """Features are written with 9 significant digits, which is exact for
     float32; files with the 17-digit float64 repr load to the same arrays."""

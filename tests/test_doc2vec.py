@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 import tracemalloc
 import warnings
@@ -43,6 +44,7 @@ from helpers import (
     position_loss,
     position_plan,
     two_topic_corpus,
+    with_float_replaced,
     with_header_field,
 )
 
@@ -386,6 +388,59 @@ class TestTrainingOracle:
         assert model.epoch_losses == losses
 
 
+class TestOuterProduct:
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.floats(0.0, 0.5),
+    )
+    @example(dtype=np.float32, n=1, dim=1, seed=0, zeros=0.0)
+    @example(dtype=np.float64, n=40, dim=96, seed=1, zeros=0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_dot_of_a_column_and_a_row_is_the_broadcast_multiply(self, dtype, n, dim, seed,
+                                                                  zeros):
+        """The trainer's g = np.dot(coef_col, context_row, g), a K = 1 gemm
+        (an axpy when n or dim is 1) into a prefix of a larger buffer,
+        against coef[:, None] * context on finite inputs of every scale,
+        with zeros of both signs, subnormals and products that underflow or
+        overflow: every element is equal, and differs in its bytes only
+        where both are zeros."""
+        rng = np.random.default_rng(seed)
+        tiny, big = (math.log10(f) for f in (np.finfo(dtype).smallest_subnormal,
+                                             np.finfo(dtype).max))
+        with np.errstate(over="ignore"):
+            coef, context = (
+                (rng.normal(size=k) * 10.0 ** rng.uniform(tiny, big, size=k)
+                 * (rng.random(k) >= zeros)).astype(dtype)
+                for k in (n, dim)
+            )
+        for x in (coef, context):
+            x[~np.isfinite(x)] = np.finfo(dtype).max
+            x[rng.random(x.size) < zeros / 2] = -0.0
+        g = np.empty((n + 3, dim), dtype)
+        with np.errstate(over="ignore", under="ignore"):
+            got = np.dot(coef[:, None], context[None], g[:n])
+            want = coef[:, None] * context
+        assert got.base is g
+        np.testing.assert_array_equal(got, want)
+        differ = got.view(np.uint8).reshape(n, -1) != want.view(np.uint8).reshape(n, -1)
+        assert np.all(want.repeat(dtype().itemsize, axis=1)[differ] == 0)
+
+    @given(case=training_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_no_node_vector_holds_negative_zero(self, case):
+        """The outer product differs from the broadcast multiply only in the
+        sign of a zero, which reaches the result only through a node element
+        that holds -0.0; after training none does."""
+        corpus, config, dtype = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # documents skipped
+            nodes = train_pvdm(corpus, config, dtype=dtype).node_vectors
+        assert not np.any((nodes == 0) & np.signbit(nodes))
+
+
 class TestTrainingAtWorkloadShape:
     @pytest.mark.parametrize("initial_lr", [0.025, 0.5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -638,9 +693,20 @@ class TestDocumentPlans:
                 expected_rows = np.concatenate([vocab.paths[target] + n_words, uniq, [doc_row]])
                 assert rows.dtype == np.intp
                 np.testing.assert_array_equal(rows, expected_rows)
-                assert buffers[0].shape == (n + uniq.size + 1,)
-                assert buffers[1].shape == (n, dim) and buffers[2].shape == (uniq.size, dim)
-                assert np.shares_memory(buffers[3], buffers[0])  # the document row
+                block, nodes, words, doc, doc_2d, tail, coef, coef_col, g, ctx, ctx_2d, delta = (
+                    buffers[:-1])
+                assert block.shape == (n + uniq.size + 1,)
+                assert g.shape == (n, dim) and ctx_2d.shape == doc_2d.shape == (1, dim)
+                floats = block.view(dtype).reshape(-1, dim)  # views read what the block holds
+                floats[:] = np.arange(floats.size).reshape(floats.shape)
+                for view, rows_ in ((nodes, floats[:n]), (words, floats[n:-1]), (doc, floats[-1]),
+                                    (doc_2d, floats[-1:]), (tail, floats[n:])):
+                    assert view.shape == rows_.shape
+                    np.testing.assert_array_equal(view, rows_)
+                for vector, column in ((coef, coef_col[:, 0]), (ctx, ctx_2d[0])):
+                    vector[:] = np.arange(vector.size)
+                    np.testing.assert_array_equal(column, vector)
+                assert coef.shape == (n,) and ctx.shape == delta.shape == (dim,)
                 assert shared.setdefault((n, uniq.size), buffers) is buffers
                 if m_t == 1:
                     assert weights is None
@@ -651,7 +717,7 @@ class TestDocumentPlans:
                     assert repeats is None
                 else:
                     np.testing.assert_array_equal(repeats, repeats_t[:, None])
-                assert m == m_t and m.dtype == dtype and m_float[at] == m_t
+                assert m.shape == () and m == m_t and m.dtype == dtype and m_float[at] == m_t
                 np.testing.assert_array_equal(neg_signs, 2.0 * vocab.codes[target] - 1.0)
                 assert buffers[-1] == n
                 counts[n] += 1
@@ -948,11 +1014,27 @@ class TestModelFiles:
     @pytest.mark.parametrize("matrix", ["word", "node", "doc"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_model_values_are_rejected(self, trained, tmp_path, matrix, value):
-        getattr(trained, f"{matrix}_vectors")[0, 1] = value
+        getattr(trained, f"{matrix}_vectors")[0, 1] = 1234.5
         path = tmp_path / "m.pvdm"
         save_model(trained, str(path))
-        with pytest.raises(InputError, match=f"non-finite value in its {matrix} vectors"):
+        path.write_bytes(with_float_replaced(path.read_bytes(), 1234.5, value))
+        with pytest.raises(InputError, match=f"file has a non-finite value in its {matrix} vectors"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("matrix", ["word", "node", "doc"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_model_values_are_not_saved(self, trained, tmp_path, matrix, value):
+        """A value the loader would refuse, also one of a float64 model past
+        the float32 range, is refused before the file is opened."""
+        model = dataclasses.replace(
+            trained, **{f"{name}_vectors": getattr(trained, f"{name}_vectors").astype(np.float64)
+                        for name in ("word", "node", "doc")})
+        getattr(model, f"{matrix}_vectors")[0, 1] = value
+        path = tmp_path / "m.pvdm"
+        with pytest.raises(InputError, match=f"^model has a non-finite value in its {matrix} "
+                                             "vectors$"):
+            save_model(model, str(path))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "line, message",
