@@ -14,14 +14,16 @@ inner-node and document vectors are row blocks of one parameter array,
 viewed as one opaque record per row. A position copies its rows (path
 nodes, window words, document) into a buffer shared by the positions of its
 shape, updates them there with in-place ufuncs and copies them back, which
-gives the bits of updating the three matrices one at a time. Its
+gives the bits of updating the three matrices one at a time. Its products
+are ndarray.dot into preallocated outputs and its ufuncs are bound to locals
+once per pass, so a position runs no Python-level function. Its
 probabilities wait in a row per position; per epoch, one log and one reduce
 per path length give the losses, summed in the plain loop's order.
 Inference fits only a fresh document vector against frozen word and node
 vectors, so unseen documents are independent and are embedded together, one
 position of every document per array update; what does not move with the
 document vectors is tabled first, and a position writes into buffers
-allocated once per call.
+allocated once per call, through ufuncs bound once per call.
 """
 
 from __future__ import annotations
@@ -179,20 +181,23 @@ def _sgd_pass(records: np.ndarray, plan: tuple, lrs, steps) -> float:
     record per row; returns the summed pre-update position loss. steps[t] is
     -lrs[t] / m, rounded to the model dtype only after dividing. The bits are
     those of the plain update: the gather and the write-back copy whole
-    records, each in-place ufunc is the IEEE operation of the plain
-    expression (commuted at most), and np.dot makes the BLAS call matmul
-    would. The node gradient g, the outer product of the coefficients and
-    the context, is np.dot of a column and a row: a gemm with K = 1 (an axpy
+    records, each ufunc writing into its first operand is the IEEE operation
+    of the plain expression (commuted at most), and ndarray.dot makes the
+    BLAS call matmul would: it is np.dot's C function without np.dot's
+    Python-level dispatcher. The gather, the write-back and the ufuncs are
+    bound to locals once per pass, so a position calls no Python function.
+    The node gradient g, the outer product of the coefficients and the
+    context, is the dot of a column and a row: a gemm with K = 1 (an axpy
     when n or dim is 1), so on finite inputs each element is one rounded
     product, as in the broadcast multiply coef[:, None] * context, except
     that the kernel adds the product to a zero, which turns -0.0 into +0.0.
     That sign cannot reach the result: g only moves the node vectors, by
-    `nodes -= g`, and x - (+0.0) and x - (-0.0) differ only for x = -0.0,
-    which no node holds: the node vectors start at +0.0, and in
+    nodes - g in place, and x - (+0.0) and x - (-0.0) differ only for
+    x = -0.0, which no node holds: the node vectors start at +0.0, and in
     round-to-nearest x - y is -0.0 only when x is. The positions of path
     length n write their probabilities into the rows of its loss block in
-    turn. After the pass, one log and one
-    row-wise add.reduce per path length give each position's log-probability
+    turn. After the pass, one log and one row-wise add.reduce per path
+    length give each position's log-probability
     (a row of a (k, n) block sums as a reduce of that row alone does; padded
     rows would not), and the losses are summed as the plain loop does: a
     document's positions in order from 0.0, then the documents in order from
@@ -202,35 +207,38 @@ def _sgd_pass(records: np.ndarray, plan: tuple, lrs, steps) -> float:
     loss_rows = [iter(loss) for loss in losses]
     # A ufunc takes a 0-d array faster than a scalar; filling one costs less than the difference.
     lr_now, step_now = np.empty((), lrs.dtype), np.empty((), lrs.dtype)
+    take, store = records.take, records.__setitem__
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    minimum, exp = np.minimum, np.exp
     for (rows, buffers, weights, repeats, m, neg_signs), lr, step in zip(positions, lrs, steps):
         block, nodes, words, doc, doc_row, tail, coef, coef_col, g, ctx, ctx_row, delta, n = (
             buffers)
-        records.take(rows, out=block, mode="clip")  # in range; "raise" would buffer `out`
+        take(rows, out=block, mode="clip")  # in range; "raise" would buffer `out`
         lr_now[()], step_now[()] = lr, step
         context, context_row = doc, doc_row
         if weights is not None:
-            context, context_row = np.dot(weights, words, ctx), ctx_row
-            context += doc
-            context /= m
-        probs = np.dot(nodes, context, next(loss_rows[n]))  # -s z, then its sigmoid, in place
-        probs *= neg_signs
-        np.minimum(probs, clip, out=probs)  # exp() stays finite; below -60, 1 + exp rounds to 1
-        np.exp(probs, out=probs)
-        probs += one
-        np.divide(one, probs, out=probs)
-        np.subtract(one, probs, out=coef)  # d(-log sigmoid(s z)) / dz, over s
-        coef *= neg_signs
-        np.dot(coef, nodes, delta)
-        delta *= step_now
-        np.dot(coef_col, context_row, g)
-        g *= lr_now
-        nodes -= g
+            context, context_row = weights.dot(words, ctx), ctx_row
+            add(context, doc, context)
+            divide(context, m, context)
+        probs = nodes.dot(context, next(loss_rows[n]))  # -s z, then its sigmoid, in place
+        multiply(probs, neg_signs, probs)
+        minimum(probs, clip, out=probs)  # exp() stays finite; below -60, 1 + exp rounds to 1
+        exp(probs, probs)
+        add(probs, one, probs)
+        divide(one, probs, probs)
+        subtract(one, probs, coef)  # d(-log sigmoid(s z)) / dz, over s
+        multiply(coef, neg_signs, coef)
+        coef.dot(nodes, delta)
+        multiply(delta, step_now, delta)
+        coef_col.dot(context_row, g)
+        multiply(g, lr_now, g)
+        subtract(nodes, g, nodes)
         if repeats is None:
-            tail += delta
+            add(tail, delta, tail)
         else:
-            words += repeats * delta
-            doc += delta
-        records[rows] = block
+            add(words, multiply(repeats, delta), words)
+            add(doc, delta, doc)
+        store(rows, block)
     log_sums = np.empty(lengths.size)
     for n, loss in enumerate(losses):
         if len(loss):  # boolean indexing runs in corpus order, as the rows do
@@ -357,9 +365,10 @@ def infer_documents(
     whichever other documents share the batch. A call builds its tables once
     (_inference_tables) with -sign / m beside them; a step scales the signs by
     its step sizes in one array operation, then moves the running documents
-    a position at a time: a gather, two stacked matmuls and in-place ufuncs,
-    all writing into prefixes of buffers allocated once per call and sized
-    for position 0, where every document runs.
+    a position at a time: a gather, two stacked matmuls and ufuncs that write
+    into their first operand, all into prefixes of buffers allocated once per
+    call and sized for position 0, where every document runs. The gather,
+    matmul and the ufuncs are bound to locals once per call.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -405,21 +414,23 @@ def infer_documents(
              delta_buf[:k], *(t[i:j, :, None] for t in (z_window, a, numer)))
             for i, j, k in zip(offsets[:-1].tolist(), offsets[1:].tolist(), running.tolist())]
     one, clip = np.array(1.0, dtype), np.array(60.0, dtype)  # 0-d: no scalar casts
+    take, matmul = model.node_vectors.take, np.matmul
+    add, multiply, divide, minimum, exp = np.add, np.multiply, np.divide, np.minimum, np.exp
     for step in range(steps):
         # The schedule runs over each document's own steps * length updates;
         # the step size is rounded to the model dtype only after -lr / m.
         lr = _linear_decay(cfg, step * length + position, steps * length)
-        np.multiply(neg_signs, (-lr / m).astype(dtype)[:, None], out=numer)
+        multiply(neg_signs, (-lr / m).astype(dtype)[:, None], numer)
         for doc, path, nodes, nodes_t, v, delta, z_t, a_t, numer_t in plan:
-            model.node_vectors.take(path, axis=0, out=nodes, mode="clip")  # in range, unbuffered
-            np.matmul(nodes, doc, out=v)
-            v += z_t
-            v *= a_t
-            np.minimum(v, clip, out=v)  # keeps exp() finite, as in training
-            np.exp(v, out=v)
-            v += one
-            np.divide(numer_t, v, out=v)
-            doc += np.matmul(nodes_t, v, out=delta)
+            take(path, axis=0, out=nodes, mode="clip")  # in range, unbuffered
+            matmul(nodes, doc, v)
+            add(v, z_t, v)
+            multiply(v, a_t, v)
+            minimum(v, clip, out=v)  # keeps exp() finite, as in training
+            exp(v, v)
+            add(v, one, v)
+            divide(numer_t, v, v)
+            add(doc, matmul(nodes_t, v, delta), doc)
     if not np.all(np.isfinite(vecs)):
         raise NumericError("inference produced a non-finite document vector")
     return vecs[np.argsort(order, kind="stable")]  # stable, as above: other kinds page in code
@@ -437,20 +448,20 @@ def nearest_words(
     """Vocabulary words closest (cosine) to the embedded query.
 
     The query is embedded with infer_documents by default; embed="average"
-    uses the mean of the query's word vectors instead. Query tokens are
-    excluded from the ranking.
+    uses the mean of the query's word vectors instead. Either way a query
+    with no in-vocabulary token is an InputError. Query tokens are excluded
+    from the ranking.
     """
     if embed not in ("infer", "average"):
         raise InputError(f"embed must be 'infer' or 'average', got {embed!r}")
     if n <= 0:
         return []
+    idx = [model.vocabulary.index[t] for t in query_tokens if t in model.vocabulary.index]
+    if not idx:
+        raise InputError("query has no in-vocabulary tokens")
     if embed == "infer":
         query_vec = infer_documents(model, [query_tokens], steps, [seed])[0]
     else:
-        vocab = model.vocabulary
-        idx = [vocab.index[t] for t in query_tokens if t in vocab.index]
-        if not idx:
-            raise InputError("query has no in-vocabulary tokens")
         query_vec = model.word_vectors[idx].mean(axis=0)
     query_vec = query_vec.astype(np.float64)
     query_norm = np.linalg.norm(query_vec)

@@ -740,6 +740,15 @@ class TestArtifacts:
             word, similarity = line.split("\t")
             assert -1.0 <= float(similarity) <= 1.0
 
+    @pytest.mark.parametrize("embed", ["infer", "average"])
+    def test_nearest_words_without_vocabulary_tokens_exits_three(self, workspace, capsys,
+                                                                  embed):
+        assert run("nearest-words", "--model", workspace / "text.pv",
+                   "--query", "zzzz qqq", "--embed", embed) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: input: query has no in-vocabulary tokens\n"
+        assert captured.out == ""
+
     def test_dedup_writes_corpus_and_report(self, workspace, tmp_path, capsys):
         out, report = tmp_path / "dedup.jsonl", tmp_path / "clusters.jsonl"
         assert run("dedup", "--corpus", workspace / "corpus.jsonl",

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -401,7 +402,7 @@ class TestOuterProduct:
     @settings(max_examples=200, deadline=None)
     def test_dot_of_a_column_and_a_row_is_the_broadcast_multiply(self, dtype, n, dim, seed,
                                                                   zeros):
-        """The trainer's g = np.dot(coef_col, context_row, g), a K = 1 gemm
+        """The trainer's g = coef_col.dot(context_row, g), a K = 1 gemm
         (an axpy when n or dim is 1) into a prefix of a larger buffer,
         against coef[:, None] * context on finite inputs of every scale,
         with zeros of both signs, subnormals and products that underflow or
@@ -420,13 +421,40 @@ class TestOuterProduct:
             x[~np.isfinite(x)] = np.finfo(dtype).max
             x[rng.random(x.size) < zeros / 2] = -0.0
         g = np.empty((n + 3, dim), dtype)
+        coef_col, context_row = coef[:, None], context[None]
         with np.errstate(over="ignore", under="ignore"):
-            got = np.dot(coef[:, None], context[None], g[:n])
-            want = coef[:, None] * context
+            got = coef_col.dot(context_row, g[:n])
+            want = coef_col * context
         assert got.base is g
         np.testing.assert_array_equal(got, want)
         differ = got.view(np.uint8).reshape(n, -1) != want.view(np.uint8).reshape(n, -1)
         assert np.all(want.repeat(dtype().itemsize, axis=1)[differ] == 0)
+
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dtype=np.float32, n=1, dim=1, seed=0)
+    @example(dtype=np.float64, n=40, dim=96, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_method_dot_is_np_dot_bit_for_bit(self, dtype, n, dim, seed):
+        """The trainer's products are ndarray.dot(b, out), which runs
+        np.dot's C function without its Python-level dispatcher: at the
+        trainer's three shapes (nodes . context, matrix . vector;
+        coef . nodes, vector . matrix; coef_col . context_row, column .
+        row), each into a prefix of a larger buffer, the bytes are np.dot's."""
+        rng = np.random.default_rng(seed)
+        nodes = rng.normal(size=(n, dim)).astype(dtype)
+        coef, context = rng.normal(size=n).astype(dtype), rng.normal(size=dim).astype(dtype)
+        for a, b in ((nodes, context), (coef, nodes), (coef[:, None], context[None])):
+            shape = np.dot(a, b).shape
+            outs = [np.empty((shape[0] + 3, *shape[1:]), dtype) for _ in range(2)]
+            got = a.dot(b, outs[0][: shape[0]])
+            want = np.dot(a, b, outs[1][: shape[0]])
+            assert got.base is outs[0]
+            assert got.tobytes() == want.tobytes()
 
     @given(case=training_cases())
     @settings(max_examples=40, deadline=None)
@@ -860,6 +888,53 @@ class TestBatchedInference:
             infer_documents(inference_model, [["red0"]], seeds=[1, 2])
 
 
+def python_calls(fn, *args):
+    """fn(*args) and the number of Python-level function calls it makes,
+    its own included: sys.setprofile "call" events. Calls into C (ufuncs,
+    ndarray methods) are "c_call" events and are not counted."""
+    calls, previous = 0, sys.getprofile()
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+class TestPythonCallsPerPosition:
+    """The PV-DM hot loops call no Python function per position: a
+    per-position Python frame (np.dot's dispatcher ran four) costs about a
+    microsecond each time."""
+
+    def test_training_pass_calls_do_not_grow_with_positions(self, monkeypatch):
+        sgd_pass, calls = doc2vec._sgd_pass, []
+
+        def counted(*args):
+            loss, n = python_calls(sgd_pass, *args)
+            calls.append(n)
+            return loss
+
+        monkeypatch.setattr(doc2vec, "_sgd_pass", counted)
+        config = PvdmConfig(dim=8, window=2, epochs=1, min_count=1, seed=3)
+        for n_docs in (5, 10):  # 150 and 300 positions
+            train_pvdm(two_topic_corpus(n_docs=n_docs, tokens_per_doc=30), config)
+        assert calls[0] == calls[1]
+
+    def test_inference_step_calls_do_not_grow_with_document_length(self, inference_model):
+        def added_by_steps(length):
+            docs = [s.tokens[:length] for s in two_topic_corpus(n_docs=4, tokens_per_doc=30)]
+            counts = [python_calls(infer_documents, inference_model, docs, steps)[1]
+                      for steps in (2, 4)]
+            return counts[1] - counts[0]
+
+        assert added_by_steps(3) == added_by_steps(30)
+
+
 class TestNearestWords:
     @pytest.fixture()
     def model(self, ranking_model):
@@ -888,6 +963,13 @@ class TestNearestWords:
 
     def test_zero_n_gives_empty(self, model):
         assert nearest_words(model, ["red0"], n=0) == []
+
+    @pytest.mark.parametrize("embed", ["infer", "average"])
+    def test_query_without_vocabulary_tokens_is_an_error(self, model, embed):
+        """Both embeddings refuse the query with one message, before either
+        runs."""
+        with pytest.raises(InputError, match="^query has no in-vocabulary tokens$"):
+            nearest_words(model, ["zzzz", "qqq"], embed=embed)
 
     def test_unknown_mode_is_an_error(self, model):
         with pytest.raises(InputError, match="embed"):
