@@ -8,8 +8,10 @@ prediction needs no text. The fusion weights that multiply the embedding
 occupy a contiguous row block and can be zeroed to ablate the text path.
 A separate sigmoid head predicts which curated words co-occur with an image.
 
-Every loss builds its gradients from one per-layer affine backward step, and
-the trunk's part is one shared function. The four trainers (stage 1, stage
+Training and prediction share one forward, whose rectified layers keep no
+pre-activation: the backward steps mask with the layers' outputs. Every loss
+builds its gradients from one per-layer affine backward step, and the
+trunk's part is one shared function. The four trainers (stage 1, stage
 2, the word head and the direct image-only baseline) differ only in their
 set-up, loss and trained layers; one minibatch Adam loop fits them all. It
 makes the trained W and b arrays views of one flat parameter vector and has
@@ -40,7 +42,7 @@ from .binio import (
 )
 from .corpus import ClassWeights, Corpus, Sample, SideLabel
 from .errors import InputError, NumericError
-from .nn import Adam, Affine, bce_with_logits, relu, softmax, weighted_cross_entropy
+from .nn import Adam, Affine, bce_with_logits, softmax, weighted_cross_entropy
 from .seeding import derive_seed
 
 CHECKPOINT_MAGIC = b"WBCK"
@@ -160,18 +162,28 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
+def _dense_relu(x: np.ndarray, layer: Affine) -> np.ndarray:
+    """max(x @ W + b, 0) in one array: the bias add and the rectifier run in
+    place on the product. W and b share a dtype, so the add is the IEEE add
+    of `x @ W + b`. The backward passes take their masks from the output:
+    h > 0 exactly where x @ W + b > 0, for ±0, NaN and ±inf too."""
+    h = x @ layer.W
+    h += layer.b
+    return np.maximum(h, 0, out=h)
+
+
 def _trunk_forward(model: BiasModel, x: np.ndarray):
-    h1_pre = x @ model.trunk1.W + model.trunk1.b
-    h1 = relu(h1_pre)
-    h2_pre = h1 @ model.trunk2.W + model.trunk2.b
-    return h1_pre, h1, h2_pre, relu(h2_pre)
+    """(h1, h2), the two rectified trunk layers' outputs."""
+    h1 = _dense_relu(x, model.trunk1)
+    return h1, _dense_relu(h1, model.trunk2)
 
 
 def _fused_forward(model: BiasModel, x: np.ndarray, text: np.ndarray):
+    """(trunk, joint, fused): the trunk outputs, their last one concatenated
+    with the text embedding, and the rectified fusion output."""
     trunk = _trunk_forward(model, x)
     joint = np.concatenate([trunk[-1], text], axis=1)
-    f_pre = joint @ model.fusion.W + model.fusion.b
-    return trunk, joint, f_pre, relu(f_pre)
+    return trunk, joint, _dense_relu(joint, model.fusion)
 
 
 def forward_stage1(model: BiasModel, feature, doc_embedding) -> np.ndarray:
@@ -200,9 +212,9 @@ def _affine_backward(grads: dict, name: str, x: np.ndarray, dy: np.ndarray, W=No
 
 def _trunk_backward(model: BiasModel, grads: dict, x, trunk, dh2) -> None:
     """Trunk gradients given d loss / d trunk output (after the ReLU)."""
-    h1_pre, h1, h2_pre, _ = trunk
-    dh2 = dh2 * (h2_pre > 0)
-    dh1 = _affine_backward(grads, "trunk2", h1, dh2, model.trunk2.W) * (h1_pre > 0)
+    h1, h2 = trunk
+    dh2 = dh2 * (h2 > 0)
+    dh1 = _affine_backward(grads, "trunk2", h1, dh2, model.trunk2.W) * (h1 > 0)
     _affine_backward(grads, "trunk1", x, dh1)
 
 
@@ -211,10 +223,10 @@ def _fused_head_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """loss_fn(logits) of a head on the fusion output, and the gradients of
     that head, the fusion layer and the trunk, stored in `grads`."""
-    trunk, joint, f_pre, fused = _fused_forward(model, features, text)
+    trunk, joint, fused = _fused_forward(model, features, text)
     loss, dlogits = loss_fn(fused @ head.W + head.b)
     grads = {} if grads is None else grads
-    dfused_pre = _affine_backward(grads, name, fused, dlogits, head.W) * (f_pre > 0)
+    dfused_pre = _affine_backward(grads, name, fused, dlogits, head.W) * (fused > 0)
     djoint = _affine_backward(grads, "fusion", joint, dfused_pre, model.fusion.W)
     _trunk_backward(model, grads, features, trunk, djoint[:, : model.hidden_dim])
     return loss, grads

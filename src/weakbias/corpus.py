@@ -193,9 +193,11 @@ def _parse_header(line: str) -> int:
     return dim
 
 
-def _parse_record(obj, lineno: int) -> tuple[str, object, Sample]:
+def _parse_record(obj, lineno: int, shared: dict) -> tuple[str, object, Sample]:
     """A record's id, its feature as decoded and its sample, with feature
-    None; the feature is checked by read_float_rows."""
+    None; the feature is checked by read_float_rows. A topic set or source
+    equal to one in `shared` is that object, and a new one is added, so the
+    samples of one load hold one copy of each."""
     if not isinstance(obj, dict):
         raise InputError(f"line {lineno}: record must be a JSON object")
     for key in ("id", "source", "side", "topics", "text", "feature"):
@@ -219,12 +221,13 @@ def _parse_record(obj, lineno: int) -> tuple[str, object, Sample]:
         side = SideLabel.parse(obj["side"])
     except InputError as exc:
         raise InputError(f"line {lineno}: sample {sample_id!r}: {exc}") from None
+    topics = frozenset(topics)
     sample = Sample(
         id=sample_id,
         feature=None,
         side=side,
-        source=source,
-        topics=frozenset(topics),
+        source=shared.setdefault(source, source),
+        topics=shared.setdefault(topics, topics),
         raw_text=text,
     )
     return sample_id, obj["feature"], sample
@@ -322,12 +325,15 @@ def load_corpus(path: str, *, lines: list[str] | None = None) -> Corpus:
     with read_float_rows: each sample's feature is its row of the file's
     float32 block, and files with 17-digit components (the float64 repr)
     load to the same arrays as save_corpus's 9 digits. Texts are not
-    tokenized here: Sample.tokens is derived on first use. Given a list as
-    lines, the record lines are appended to it, which save_corpus_lines
-    writes back as a corpus file.
+    tokenized here: Sample.tokens is derived on first use. Samples with
+    equal topic sets share one frozenset, and samples with equal sources one
+    string; two loads share neither. Given a list as lines, the record lines
+    are appended to it, which save_corpus_lines writes back as a corpus
+    file.
     """
+    parse = functools.partial(_parse_record, shared={})
     samples, block = read_float_rows(
-        path, _parse_record, "sample {!r}: feature", header=_parse_header, lines=lines
+        path, parse, "sample {!r}: feature", header=_parse_header, lines=lines
     )
     for sample, row in zip(samples, block):
         sample.feature = row

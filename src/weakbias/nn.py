@@ -56,10 +56,6 @@ class Affine:
         return Affine(self.W.copy(), self.b.copy())
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stable under large logits."""
     shifted = logits - logits.max(axis=-1, keepdims=True)

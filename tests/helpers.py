@@ -1,7 +1,8 @@
 """Builders for tiny hand-made corpora used across the test suite, the
 PV-DM oracles (the position plan, the per-position loss and its gradients,
-and the hierarchical-softmax probability) and the classifier's training
-oracle (name-keyed Adam and the minibatch loop) that the trainers and the
+and the hierarchical-softmax probability) and the classifier's oracles (a
+forward that keeps every pre-activation and the gradients masked by them,
+name-keyed Adam and the minibatch loop) that the trainers and the
 acceptance checks are tested against, and the mutations the binary-file
 fuzz tests apply."""
 
@@ -84,16 +85,40 @@ def reference_fit(model, key, spec, loss_and_grads, *arrays):
     return model
 
 
+def reference_forward(model, x, text=None):
+    """The classifier's forward with every pre-activation kept: a list of
+    (layer name, input, x @ W + b) for trunk1, trunk2 and, given text, the
+    fusion layer over [trunk output; text], and the rectified output of the
+    last of them."""
+    steps, out = [], x
+    for name in ("trunk1", "trunk2") + (() if text is None else ("fusion",)):
+        if name == "fusion":
+            out = np.concatenate([out, text], axis=1)
+        layer = getattr(model, name)
+        pre = out @ layer.W + layer.b
+        steps.append((name, out, pre))
+        out = np.maximum(pre, 0)
+    return steps, out
+
+
+def reference_loss_and_grads(model, head, name, loss_fn, x, text=None):
+    """loss_fn(logits) of `head` (whose gradients go under `name`) on the
+    reference_forward output, and the gradients of the head and every layer
+    below it, each rectifier's mask taken from its pre-activation."""
+    steps, out = reference_forward(model, x, text)
+    loss, dy = loss_fn(out @ head.W + head.b)
+    grads = {f"{name}_W": out.T @ dy, f"{name}_b": dy.sum(axis=0)}
+    dout = dy @ head.W.T
+    for layer, inp, pre in reversed(steps):
+        d = dout[:, : pre.shape[1]] * (pre > 0)
+        grads[f"{layer}_W"], grads[f"{layer}_b"] = inp.T @ d, d.sum(axis=0)
+        dout = d @ getattr(model, layer).W.T
+    return loss, grads
+
+
 def preactivation_margin(model, x, e=None):
     """Smallest |pre-activation| any rectifier sees for this batch."""
-    h1p = x @ model.trunk1.W + model.trunk1.b
-    h2p = np.maximum(h1p, 0) @ model.trunk2.W + model.trunk2.b
-    margins = [np.abs(h1p).min(), np.abs(h2p).min()]
-    if e is not None:
-        joint = np.concatenate([np.maximum(h2p, 0), e], axis=1)
-        fp = joint @ model.fusion.W + model.fusion.b
-        margins.append(np.abs(fp).min())
-    return min(margins)
+    return min(np.abs(pre).min() for _, _, pre in reference_forward(model, x, e)[0])
 
 
 def clean_batch(model, rng, n, with_text=True, margin=1e-2):

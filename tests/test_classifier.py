@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,8 @@ from helpers import (
     make_sample,
     mutate_binary,
     reference_fit,
+    reference_forward,
+    reference_loss_and_grads,
     with_float_replaced,
     with_header_field,
 )
@@ -27,7 +30,10 @@ from weakbias.corpus import ClassWeights, Corpus, SideLabel
 from weakbias.classifier import (
     BiasModel,
     TrainSpec,
+    _dense_relu,
     _fit,
+    _fused_forward,
+    _trunk_forward,
     ablate_zero_text,
     argmax_sides,
     build_model,
@@ -373,6 +379,147 @@ class TestGradients:
         fd_check(
             lambda: word_head_loss_and_grads(model, x, e, targets)[0], params, grads
         )
+
+
+@st.composite
+def forward_cases(draw):
+    """(model, x, text, labels, weights, word targets): a model in float32 or
+    float64 with both extra heads and random biases (zero in some draws), and
+    a batch in the model's dtype or, for a float32 model, in float64, some
+    of whose rows are zero so that pre-activations land on 0 exactly."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    x_dtype = draw(st.sampled_from([dtype, np.float64]))
+    f_dim, hidden, fused, text_dim, n_words = (draw(st.integers(1, 9)) for _ in range(5))
+    n, seed = draw(st.integers(1, 24)), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    model = build_model(f_dim, hidden=hidden, fused=fused, text_dim=text_dim, seed=seed,
+                        dtype=dtype)
+    model.head2 = Affine.create(rng, hidden, 2, dtype)
+    model.word_head = Affine.create(rng, fused, n_words, dtype)
+    model.visual_words = [f"w{j}" for j in range(n_words)]
+    if draw(st.booleans()):
+        for layer in model.layers().values():
+            layer.b[...] = rng.normal(scale=0.5, size=layer.b.shape)
+    x = rng.normal(size=(n, f_dim)).astype(x_dtype)
+    x[rng.random(n) < 0.2] = 0
+    text = rng.normal(size=(n, text_dim)).astype(x_dtype)
+    labels = rng.integers(0, 2, size=n)
+    weights = rng.uniform(0.5, 2.0, size=n).astype(dtype)
+    targets = rng.integers(0, 2, size=(n, n_words)).astype(dtype)
+    return model, x, text, labels, weights, targets
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestForwardBits:
+    """The forward runs each layer's bias add and rectifier in place on its
+    product and keeps no pre-activation; the backward passes mask with the
+    rectified outputs. Everything it feeds gives the bits of the reference
+    forward, which keeps every pre-activation and masks with them."""
+
+    @given(case=forward_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_forward_matches_reference(self, case):
+        model, x, text, _, _, _ = case
+        steps, fused = reference_forward(model, x, text)
+        h1_pre, h2_pre = steps[0][2], steps[1][2]
+        trunk = _trunk_forward(model, x)
+        assert len(trunk) == 2
+        assert same_bits(trunk[0], np.maximum(h1_pre, 0))
+        assert same_bits(trunk[1], np.maximum(h2_pre, 0))
+        (h1, h2), got_joint, got_fused = _fused_forward(model, x, text)
+        assert same_bits(h1, trunk[0]) and same_bits(h2, trunk[1])
+        assert same_bits(got_joint, steps[2][1]) and same_bits(got_fused, fused)
+        assert same_bits(forward_stage1(model, x, text), fused @ model.head1.W + model.head1.b)
+        probs = softmax(trunk[1] @ model.head2.W + model.head2.b)
+        sides, got_probs = predict_batch(model, x)
+        assert same_bits(got_probs, probs) and sides == argmax_sides(probs)
+
+    @given(case=forward_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_gradients_match_reference(self, case):
+        """Stage 1, the image-only baseline and the word head: the loss and
+        every gradient the loss function returns."""
+        model, x, text, labels, weights, targets = case
+        ce = partial(weighted_cross_entropy, labels=labels, weights=weights)
+        for got, want in [
+            (stage1_loss_and_grads(model, x, text, labels, weights),
+             reference_loss_and_grads(model, model.head1, "head1", ce, x, text)),
+            (image_only_loss_and_grads(model, x, labels, weights),
+             reference_loss_and_grads(model, model.head2, "head2", ce, x)),
+            (word_head_loss_and_grads(model, x, text, targets),
+             reference_loss_and_grads(model, model.word_head, "word",
+                                      partial(bce_with_logits, targets=targets), x, text)),
+        ]:
+            assert got[0] == want[0]
+            assert got[1].keys() == want[1].keys()
+            for name, grad in want[1].items():
+                assert same_bits(got[1][name], grad), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masks_agree_on_signed_zeros_nan_inf_and_subnormals(self, dtype):
+        """h = max(pre, 0) is > 0 exactly where pre is: at -0.0, +0.0, NaN
+        of either sign, ±inf, ±subnormals, ±tiny, ±max and random bit
+        patterns. A layer whose biases are those values (its product being
+        zero) gives the reference forward's bits through _dense_relu."""
+        info = np.finfo(dtype)
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+                            info.smallest_subnormal, -info.smallest_subnormal,
+                            info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0], dtype)
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        bits = np.random.default_rng(0).integers(0, np.iinfo(uint).max, size=100_000,
+                                                 dtype=uint, endpoint=True)
+        pre = np.concatenate([special, bits.view(dtype)])
+        h = pre.copy()
+        np.maximum(h, 0, out=h)
+        assert np.array_equal(h > 0, pre > 0)
+        layer = Affine(np.zeros((1, special.size), dtype), special)
+        x = np.zeros((3, 1), dtype)
+        want = x @ layer.W + layer.b
+        got = _dense_relu(x, layer)
+        assert same_bits(got, np.maximum(want, 0))
+        assert np.array_equal(got > 0, want > 0)
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of the memory fn(*args) allocates."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestForwardMemory:
+    """At n rows and trunk width hidden, the frozen trunk's forward holds
+    two (n, hidden) arrays at its peak, its two layers' outputs, not four:
+    a pre-activation beside each of them would double it."""
+
+    n, feature_dim, hidden = 2000, 64, 256
+    slack = 256 * 1024
+
+    def model_and_features(self):
+        rng = np.random.default_rng(0)
+        model = build_model(self.feature_dim, hidden=self.hidden, fused=8, text_dim=8)
+        model.head2 = Affine.create(rng, self.hidden, 2, np.float32)
+        features = rng.normal(size=(self.n, self.feature_dim)).astype(np.float32)
+        return model, features, 2 * self.n * self.hidden * 4 + self.slack
+
+    def test_predict_batch_holds_two_activations(self):
+        model, features, bound = self.model_and_features()
+        assert traced_peak(predict_batch, model, features) <= bound
+
+    def test_train_stage2_trunk_holds_two_activations(self):
+        """train_stage2 also holds its float32 features and its copy of the
+        model while the trunk runs."""
+        model, features, bound = self.model_and_features()
+        corpus = feature_corpus(features)
+        held = features.nbytes + sum(a.nbytes for a in model.parameters().values())
+        spec = TrainSpec(epochs=1, seed=0)
+        assert traced_peak(train_stage2, model, corpus, spec) <= bound + held
 
 
 class TestTrainingInputs:

@@ -250,6 +250,27 @@ class TestLoadCorpus:
         save_corpus(load_corpus(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_equal_topics_and_sources_share_one_object(self, tmp_path):
+        """Within one load, samples with equal topic lists (in any order)
+        hold one frozenset and samples with equal sources one string; a
+        second load of the file shares neither with the first."""
+        rows = [(f"x{i}", [float(i), 0.5, -1.0], ("L", "R")[i % 2]) for i in range(6)]
+        topics = [["guns", "law"], ["law", "guns"], ["tax"]]
+        lines = [self.header()] + [
+            json.dumps({"id": sid, "source": f"outlet-{i % 2}", "side": side,
+                        "topics": topics[i % 3], "text": "some words",
+                        "feature": feature})
+            for i, (sid, feature, side) in enumerate(rows)
+        ]
+        path = self.write(tmp_path, lines)
+        first, second = load_corpus(path), load_corpus(path)
+        for corpus in (first, second):
+            assert {s.topics for s in corpus} == {frozenset({"guns", "law"}), frozenset({"tax"})}
+            assert len({id(s.topics) for s in corpus}) == 2
+            assert len({id(s.source) for s in corpus}) == 2
+        assert not {id(s.topics) for s in first} & {id(s.topics) for s in second}
+        assert not {id(s.source) for s in first} & {id(s.source) for s in second}
+
     @pytest.mark.parametrize(
         "feature, message",
         [

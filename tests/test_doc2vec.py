@@ -1,6 +1,7 @@
 """Paragraph-vector model: tree output layer, training, inference, files."""
 
 import dataclasses
+import gc
 import json
 import math
 import struct
@@ -889,21 +890,35 @@ class TestBatchedInference:
 
 
 def python_calls(fn, *args):
-    """fn(*args) and the number of Python-level function calls it makes,
-    its own included: sys.setprofile "call" events. Calls into C (ufuncs,
-    ndarray methods) are "c_call" events and are not counted."""
-    calls, previous = 0, sys.getprofile()
+    """fn(*args) and the Python-level function calls it makes, its own
+    included, as a Counter of "module.name": sys.setprofile "call" events.
+    Calls into C (ufuncs, ndarray methods) are "c_call" events and are not
+    counted. The call runs after a collection with the garbage collector
+    paused, so no finalizer or weakref callback of a collection that happens
+    to fall inside it (threading.RLock, abc.__instancecheck__) is counted."""
+    calls, previous = Counter(), sys.getprofile()
 
     def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
+        if event == "call":
+            name = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)  # Python >= 3.11
+            calls[f"{frame.f_globals.get('__name__')}.{name}"] += 1
 
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(previous)
+        if enabled:
+            gc.enable()
     return result, calls
+
+
+def frames_apart(a, b):
+    """Per frame name, how many more calls Counter b holds than a."""
+    return {name: b[name] - a[name] for name in sorted(a.keys() | b.keys()) if a[name] != b[name]}
 
 
 class TestPythonCallsPerPosition:
@@ -915,24 +930,52 @@ class TestPythonCallsPerPosition:
         sgd_pass, calls = doc2vec._sgd_pass, []
 
         def counted(*args):
-            loss, n = python_calls(sgd_pass, *args)
-            calls.append(n)
+            loss, frames = python_calls(sgd_pass, *args)
+            calls.append(frames)
             return loss
 
         monkeypatch.setattr(doc2vec, "_sgd_pass", counted)
         config = PvdmConfig(dim=8, window=2, epochs=1, min_count=1, seed=3)
         for n_docs in (5, 10):  # 150 and 300 positions
             train_pvdm(two_topic_corpus(n_docs=n_docs, tokens_per_doc=30), config)
-        assert calls[0] == calls[1]
+        assert calls[0].total() == calls[1].total(), (
+            f"frames 300 positions call more than 150: {frames_apart(*calls)}"
+        )
 
     def test_inference_step_calls_do_not_grow_with_document_length(self, inference_model):
         def added_by_steps(length):
             docs = [s.tokens[:length] for s in two_topic_corpus(n_docs=4, tokens_per_doc=30)]
-            counts = [python_calls(infer_documents, inference_model, docs, steps)[1]
-                      for steps in (2, 4)]
-            return counts[1] - counts[0]
+            few, more = (python_calls(infer_documents, inference_model, docs, steps)[1]
+                         for steps in (2, 4))
+            return Counter(frames_apart(few, more))
 
-        assert added_by_steps(3) == added_by_steps(30)
+        short, long = added_by_steps(3), added_by_steps(30)
+        assert short.total() == long.total(), (
+            f"frames steps add at length 30 beyond length 3: {frames_apart(short, long)}"
+        )
+
+    def test_frames_of_a_collection_are_not_counted(self):
+        """Cyclic garbage with a finalizer, made inside the counted call at
+        a low collection threshold: no __del__ frame is counted, and the
+        collector's state is restored."""
+
+        class Finalized:
+            def __del__(self):
+                pass
+
+        def make_cycles():
+            for _ in range(500):
+                cycle = Finalized()
+                cycle.self = cycle
+
+        threshold = gc.get_threshold()
+        gc.set_threshold(50, 2, 2)
+        try:
+            calls = python_calls(make_cycles)[1]
+            assert gc.isenabled() and gc.get_threshold() == (50, 2, 2)
+        finally:
+            gc.set_threshold(*threshold)
+        assert calls.total() == 1, calls
 
 
 class TestNearestWords:
