@@ -8,24 +8,26 @@ prediction needs no text. The fusion weights that multiply the embedding
 occupy a contiguous row block and can be zeroed to ablate the text path.
 A separate sigmoid head predicts which curated words co-occur with an image.
 
-Training and prediction share one forward, whose rectified layers keep no
-pre-activation: the backward steps mask with the layers' outputs. Every loss
-builds its gradients from one per-layer affine backward step, and the
-trunk's part is one shared function. The four trainers (stage 1, stage
-2, the word head and the direct image-only baseline) differ only in their
-set-up, loss and trained layers; one minibatch Adam loop fits them all. It
-makes the trained W and b arrays views of one flat parameter vector and has
-the backward steps write their gradients into views of one flat gradient
-buffer, so an Adam step is one pass over two vectors. Every prediction
-takes the same argmax over (Left, Right) scores, in which a tie is Left.
+One ordered table, LAYERS, names every layer: the model's layers, its
+parameters, its copy and the checkpoint all follow it. Training and
+prediction share one forward over a run of rectified layers, which keeps no
+pre-activation; when training, it records each layer's input and output.
+One loss function serves every head: the forward over the layers below the
+head, the head's loss, then one affine backward step per recorded layer,
+masked by that layer's output. The four trainers (stage 1, stage 2, the word
+head and the direct image-only baseline) differ only in their set-up, loss
+and trained layers; one minibatch Adam loop fits them all. It makes the
+trained W and b arrays views of one flat parameter vector and has the
+backward steps write their gradients into views of one flat gradient buffer,
+so an Adam step is one pass over two vectors. Every prediction takes the
+same argmax over (Left, Right) scores, in which a tie is Left.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +49,12 @@ from .seeding import derive_seed
 
 CHECKPOINT_MAGIC = b"WBCK"
 CHECKPOINT_VERSION = 2
+
+# Every layer a model can have, in checkpoint order; a layer's name is the
+# BiasModel field holding it and the prefix of its parameter names.
+LAYERS = ("trunk1", "trunk2", "fusion", "head1", "head2", "word_head")
+_TRUNK = LAYERS[:2]
+_FUSED = LAYERS[:3]
 
 _SIDE_INDEX = {SideLabel.LEFT: 0, SideLabel.RIGHT: 1}
 _INDEX_SIDE = (SideLabel.LEFT, SideLabel.RIGHT)
@@ -97,38 +105,20 @@ class BiasModel:
         return self.fusion.in_dim - self.trunk2.out_dim
 
     def layers(self) -> dict[str, Affine]:
-        """The present layers in checkpoint order, keyed by the prefix of
-        their parameter names."""
-        named = {
-            "trunk1": self.trunk1,
-            "trunk2": self.trunk2,
-            "fusion": self.fusion,
-            "head1": self.head1,
-            "head2": self.head2,
-            "word": self.word_head,
-        }
-        return {name: layer for name, layer in named.items() if layer is not None}
+        """The present layers in LAYERS order, keyed by name."""
+        layers = {name: getattr(self, name) for name in LAYERS}
+        return {name: layer for name, layer in layers.items() if layer is not None}
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays keyed by name, the names the loss functions
-        store their gradients under."""
-        params = {}
-        for name, layer in self.layers().items():
-            params[f"{name}_W"] = layer.W
-            params[f"{name}_b"] = layer.b
-        return params
+        """Live parameter arrays keyed by name, the names loss_and_grads
+        stores their gradients under."""
+        return {f"{name}_{attr}": getattr(layer, attr)
+                for name, layer in self.layers().items() for attr in ("W", "b")}
 
     def copy(self) -> "BiasModel":
-        return BiasModel(
-            trunk1=self.trunk1.copy(),
-            trunk2=self.trunk2.copy(),
-            fusion=self.fusion.copy(),
-            head1=self.head1.copy(),
-            head2=None if self.head2 is None else self.head2.copy(),
-            word_head=None if self.word_head is None else self.word_head.copy(),
-            visual_words=list(self.visual_words),
-            history={k: list(v) for k, v in self.history.items()},
-        )
+        layers = {name: layer.copy() for name, layer in self.layers().items()}
+        return replace(self, **layers, visual_words=list(self.visual_words),
+                       history={k: list(v) for k, v in self.history.items()})
 
 
 def build_model(
@@ -165,25 +155,28 @@ def _as_batch(x, dim: int, what: str) -> tuple[np.ndarray, bool]:
 def _dense_relu(x: np.ndarray, layer: Affine) -> np.ndarray:
     """max(x @ W + b, 0) in one array: the bias add and the rectifier run in
     place on the product. W and b share a dtype, so the add is the IEEE add
-    of `x @ W + b`. The backward passes take their masks from the output:
-    h > 0 exactly where x @ W + b > 0, for ±0, NaN and ±inf too."""
+    of `x @ W + b`. loss_and_grads takes its masks from the output: h > 0
+    exactly where x @ W + b > 0, for ±0, NaN and ±inf too."""
     h = x @ layer.W
     h += layer.b
     return np.maximum(h, 0, out=h)
 
 
-def _trunk_forward(model: BiasModel, x: np.ndarray):
-    """(h1, h2), the two rectified trunk layers' outputs."""
-    h1 = _dense_relu(x, model.trunk1)
-    return h1, _dense_relu(h1, model.trunk2)
-
-
-def _fused_forward(model: BiasModel, x: np.ndarray, text: np.ndarray):
-    """(trunk, joint, fused): the trunk outputs, their last one concatenated
-    with the text embedding, and the rectified fusion output."""
-    trunk = _trunk_forward(model, x)
-    joint = np.concatenate([trunk[-1], text], axis=1)
-    return trunk, joint, _dense_relu(joint, model.fusion)
+def _forward(model: BiasModel, names, x: np.ndarray, text=None, steps=None) -> np.ndarray:
+    """The output of the named rectified layers run in order on x, `text`
+    joined to the input of the fusion layer. With a `steps` list, each
+    layer's (name, input, output) is appended to it for the backward pass;
+    without one, each array is dropped as soon as the next one exists."""
+    for name in names:
+        if name == "fusion":
+            x = np.concatenate([x, text], axis=1)
+        layer = getattr(model, name)
+        if steps is None:
+            x = _dense_relu(x, layer)
+        else:
+            steps.append((name, x, _dense_relu(x, layer)))
+            x = steps[-1][2]
+    return x
 
 
 def forward_stage1(model: BiasModel, feature, doc_embedding) -> np.ndarray:
@@ -195,8 +188,7 @@ def forward_stage1(model: BiasModel, feature, doc_embedding) -> np.ndarray:
         raise InputError(
             f"{x.shape[0]} features but {text.shape[0]} doc embeddings"
         )
-    fused = _fused_forward(model, x, text)[-1]
-    logits = fused @ model.head1.W + model.head1.b
+    logits = model.head1(_forward(model, _FUSED, x, text))
     return logits[0] if squeeze else logits
 
 
@@ -210,83 +202,28 @@ def _affine_backward(grads: dict, name: str, x: np.ndarray, dy: np.ndarray, W=No
     return None if W is None else dy @ W.T
 
 
-def _trunk_backward(model: BiasModel, grads: dict, x, trunk, dh2) -> None:
-    """Trunk gradients given d loss / d trunk output (after the ReLU)."""
-    h1, h2 = trunk
-    dh2 = dh2 * (h2 > 0)
-    dh1 = _affine_backward(grads, "trunk2", h1, dh2, model.trunk2.W) * (h1 > 0)
-    _affine_backward(grads, "trunk1", x, dh1)
-
-
-def _fused_head_grads(
-    model: BiasModel, head: Affine, name: str, features, text, loss_fn, grads
+def loss_and_grads(
+    model: BiasModel, trained, loss_fn, inputs, targets, grads: dict | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """loss_fn(logits) of a head on the fusion output, and the gradients of
-    that head, the fusion layer and the trunk, stored in `grads`."""
-    trunk, joint, fused = _fused_forward(model, features, text)
-    loss, dlogits = loss_fn(fused @ head.W + head.b)
+    """loss_fn(logits, *targets) of the head trained[-1] on the forward of
+    the layers trained[:-1] over `inputs` (the features, or the frozen trunk
+    output, then the text embedding if a fusion layer is trained), and the
+    gradients of every trained layer, stored in `grads` (written into the
+    arrays it holds, when given). Each rectified layer's gradient is masked
+    by its output."""
+    head = getattr(model, trained[-1])
+    if head is None:
+        raise InputError(f"model has no {trained[-1]} layer")
+    steps = []
+    x = _forward(model, trained[:-1], *inputs, steps=steps)
+    loss, d = loss_fn(head(x), *targets)
     grads = {} if grads is None else grads
-    dfused_pre = _affine_backward(grads, name, fused, dlogits, head.W) * (fused > 0)
-    djoint = _affine_backward(grads, "fusion", joint, dfused_pre, model.fusion.W)
-    _trunk_backward(model, grads, features, trunk, djoint[:, : model.hidden_dim])
+    d = _affine_backward(grads, trained[-1], x, d, head.W if steps else None)
+    for i in reversed(range(len(steps))):
+        name, inp, out = steps[i]
+        d = d[:, : out.shape[1]] * (out > 0)
+        d = _affine_backward(grads, name, inp, d, getattr(model, name).W if i else None)
     return loss, grads
-
-
-def stage1_loss_and_grads(
-    model: BiasModel,
-    features: np.ndarray,
-    text: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    grads: dict | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Class-weighted cross-entropy of the stage-1 head and its gradients
-    for every trainable stage-1 parameter. Each loss function returns its
-    gradients in `grads`, written into the arrays it holds when given."""
-    loss_fn = partial(weighted_cross_entropy, labels=labels, weights=weights)
-    return _fused_head_grads(model, model.head1, "head1", features, text, loss_fn, grads)
-
-
-def stage2_loss_and_grads(
-    head2: Affine, trunk_out: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-    grads: dict | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Weighted cross-entropy of the stage-2 linear head over frozen trunk
-    outputs."""
-    logits = trunk_out @ head2.W + head2.b
-    loss, dlogits = weighted_cross_entropy(logits, labels, weights)
-    grads = {} if grads is None else grads
-    _affine_backward(grads, "head2", trunk_out, dlogits)
-    return loss, grads
-
-
-def image_only_loss_and_grads(
-    model: BiasModel, features: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-    grads: dict | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Weighted cross-entropy of head2(trunk(x)) with the trunk trainable;
-    the direct no-text baseline."""
-    if model.head2 is None:
-        raise InputError("model has no stage-2 head")
-    trunk = _trunk_forward(model, features)
-    h2 = trunk[-1]
-    logits = h2 @ model.head2.W + model.head2.b
-    loss, dlogits = weighted_cross_entropy(logits, labels, weights)
-    grads = {} if grads is None else grads
-    dh2 = _affine_backward(grads, "head2", h2, dlogits, model.head2.W)
-    _trunk_backward(model, grads, features, trunk, dh2)
-    return loss, grads
-
-
-def word_head_loss_and_grads(
-    model: BiasModel, features: np.ndarray, text: np.ndarray, targets: np.ndarray,
-    grads: dict | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Multi-label BCE of the word head with trunk and fusion trainable."""
-    if model.word_head is None:
-        raise InputError("model has no word head")
-    loss_fn = partial(bce_with_logits, targets=targets)
-    return _fused_head_grads(model, model.word_head, "word", features, text, loss_fn, grads)
 
 
 def _training_data(corpus: Corpus, spec: TrainSpec):
@@ -317,12 +254,14 @@ def embedding_matrix(
         raise InputError("document embeddings have inconsistent lengths") from None
 
 
-# history key -> (order sub-seed, name in a divergence error, trained layers)
+# history key -> (order sub-seed, name in a divergence error, trained layers
+# ending with the head, loss)
 _FITS = {
-    "stage1": ("stage1-order", "stage-1", ("trunk1", "trunk2", "fusion", "head1")),
-    "stage2": ("stage2-order", "stage-2", ("head2",)),
-    "image-only": ("image-only-order", "image-only", ("trunk1", "trunk2", "head2")),
-    "words": ("word-order", "word-head", ("trunk1", "trunk2", "fusion", "word")),
+    "stage1": ("stage1-order", "stage-1", _FUSED + ("head1",), weighted_cross_entropy),
+    "stage2": ("stage2-order", "stage-2", ("head2",), weighted_cross_entropy),
+    "image-only": ("image-only-order", "image-only", _TRUNK + ("head2",),
+                   weighted_cross_entropy),
+    "words": ("word-order", "word-head", _FUSED + ("word_head",), bce_with_logits),
 }
 
 
@@ -358,25 +297,27 @@ def _flat_views(model: BiasModel, trained) -> tuple[np.ndarray, np.ndarray, dict
     return flat, grad, grads
 
 
-def _fit(model: BiasModel, key: str, spec: TrainSpec, loss_and_grads, *arrays):
-    """Minibatch Adam over the rows of `arrays`: a seeded shuffle each epoch,
-    one step per batch on the trained layers _FITS names for `key`, whose
-    gradients `loss_and_grads(*batch, grads=...)` writes into views of one
-    flat buffer, and the mean loss per epoch recorded as model.history[key].
-    The trained W and b arrays become views of one flat vector (_flat_views),
-    which Adam updates in place. Returns the model."""
-    order_seed, name, trained = _FITS[key]
+def _fit(model: BiasModel, key: str, spec: TrainSpec, inputs, targets):
+    """Minibatch Adam over the rows of `inputs` and `targets`: a seeded
+    shuffle each epoch, one step per batch on the layers _FITS trains for
+    `key`, with its loss, and the mean loss per epoch recorded as
+    model.history[key]. loss_and_grads writes each batch's gradients into
+    views of one flat buffer, and the trained W and b arrays become views of
+    one flat vector (_flat_views), which Adam updates in place. Returns the
+    model."""
+    order_seed, name, trained, loss_fn = _FITS[key]
     order = np.random.default_rng(derive_seed(spec.seed, order_seed))
     params, grad, grads = _flat_views(model, trained)
     adam = Adam(params, lr=spec.lr)
-    n = len(arrays[0])
+    n = len(inputs[0])
     losses = []
     for _ in range(spec.epochs):
         perm = order.permutation(n)
         total = 0.0
         for start in range(0, n, spec.batch_size):
             idx = perm[start : start + spec.batch_size]
-            loss, _ = loss_and_grads(*(array[idx] for array in arrays), grads=grads)
+            loss, _ = loss_and_grads(model, trained, loss_fn, [a[idx] for a in inputs],
+                                     [a[idx] for a in targets], grads)
             adam.step(grad)
             if not np.isfinite(loss):
                 raise NumericError(f"{name} loss diverged to {loss}")
@@ -401,8 +342,7 @@ def train_stage1(
     model = build_model(
         corpus.feature_dim, hidden=hidden, fused=fused, text_dim=text.shape[1], seed=spec.seed
     )
-    loss_and_grads = partial(stage1_loss_and_grads, model)
-    return _fit(model, "stage1", spec, loss_and_grads, features, text, labels, weights)
+    return _fit(model, "stage1", spec, (features, text), (labels, weights))
 
 
 def train_stage2(model: BiasModel, corpus: Corpus, spec: TrainSpec) -> BiasModel:
@@ -413,9 +353,8 @@ def train_stage2(model: BiasModel, corpus: Corpus, spec: TrainSpec) -> BiasModel
     out = model.copy()
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
     out.head2 = Affine.create(init, out.hidden_dim, 2, np.float32)
-    trunk_out = _trunk_forward(out, features)[-1]  # frozen: compute once
-    loss_and_grads = partial(stage2_loss_and_grads, out.head2)
-    return _fit(out, "stage2", spec, loss_and_grads, trunk_out, labels, weights)
+    trunk_out = _forward(out, _TRUNK, features)  # frozen: compute once
+    return _fit(out, "stage2", spec, (trunk_out,), (labels, weights))
 
 
 def train_image_only(
@@ -434,8 +373,7 @@ def train_image_only(
     )
     init = np.random.default_rng(derive_seed(spec.seed, "stage2-init"))
     model.head2 = Affine.create(init, hidden, 2, np.float32)
-    loss_and_grads = partial(image_only_loss_and_grads, model)
-    return _fit(model, "image-only", spec, loss_and_grads, features, labels, weights)
+    return _fit(model, "image-only", spec, (features,), (labels, weights))
 
 
 def argmax_sides(scores: np.ndarray) -> list[SideLabel]:
@@ -450,8 +388,7 @@ def predict_batch(model: BiasModel, features) -> tuple[list[SideLabel], np.ndarr
     if model.head2 is None:
         raise InputError("stage 2 head has not been trained")
     x, _ = _as_batch(features, model.feature_dim, "features")
-    trunk_out = _trunk_forward(model, x)[-1]
-    probs = softmax(trunk_out @ model.head2.W + model.head2.b)
+    probs = softmax(model.head2(_forward(model, _TRUNK, x)))
     return argmax_sides(probs), probs
 
 
@@ -530,8 +467,7 @@ def train_word_head(
             j = index.get(word)
             if j is not None:
                 targets[i, j] = 1.0
-    loss_and_grads = partial(word_head_loss_and_grads, out)
-    return _fit(out, "words", spec, loss_and_grads, features, text, targets)
+    return _fit(out, "words", spec, (features, text), (targets,))
 
 
 def rank_images_for_word(
@@ -553,7 +489,7 @@ def rank_images_for_word(
     dtype = model.word_head.W.dtype
     features = corpus.features().astype(dtype, copy=False)
     text = embedding_matrix(corpus.samples, embeddings, dtype)
-    fused = _fused_forward(model, features, text)[-1]
+    fused = _forward(model, _FUSED, features, text)
     logits = fused @ model.word_head.W[:, column] + model.word_head.b[column]
     order = sorted(zip(-logits.astype(np.float64), corpus.ids()))
     return [sid for _, sid in order[:top]]
@@ -575,7 +511,7 @@ def _layer_shapes(header: dict) -> dict[str, tuple[int, int]]:
               "fusion": (hidden + text, fused), "head1": (fused, 2), "head2": (hidden, 2),
               "word_head": (fused, len(words))}
     layers = header_field(header, "layers", list, str)
-    if layers != [name for i, name in enumerate(shapes) if i < 4 or name in layers]:
+    if layers != [name for i, name in enumerate(LAYERS) if i < 4 or name in layers]:
         raise InputError("checkpoint layers must be trunk1, trunk2, fusion and head1, "
                          "then head2 and word_head if present")
     return {name: shapes[name] for name in layers}
@@ -588,13 +524,12 @@ def save_checkpoint(model: BiasModel, path: str) -> None:
     model whose layers do not have the shapes the header gives, or hold a
     value not finite in float32, raises InputError before the file is
     opened."""
-    layers = [name for name in ("trunk1", "trunk2", "fusion", "head1", "head2", "word_head")
-              if getattr(model, name) is not None]
+    layers = model.layers()
     header = {"feature_dim": model.feature_dim, "hidden": model.hidden_dim,
-              "fused": model.fused_dim, "text_dim": model.text_dim, "layers": layers,
+              "fused": model.fused_dim, "text_dim": model.text_dim, "layers": list(layers),
               "visual_words": model.visual_words}
     for name, (n_in, n_out) in _layer_shapes(header).items():
-        W, b = getattr(model, name).W, getattr(model, name).b
+        W, b = layers[name].W, layers[name].b
         if W.shape != (n_in, n_out) or b.shape != (n_out,):
             raise InputError(f"{name} has shapes {W.shape} and {b.shape}, but the dims "
                              f"and {len(model.visual_words)} visual words need {(n_in, n_out)}")
@@ -603,9 +538,9 @@ def save_checkpoint(model: BiasModel, path: str) -> None:
                 raise InputError(f"model has a non-finite value in {name} {array}")
     with atomic_write(path, binary=True) as fh:
         write_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header)
-        for name in layers:
-            write_matrix(fh, getattr(model, name).W)
-            write_vector(fh, getattr(model, name).b)
+        for layer in layers.values():
+            write_matrix(fh, layer.W)
+            write_vector(fh, layer.b)
 
 
 def load_checkpoint(path: str) -> BiasModel:

@@ -13,10 +13,11 @@ from collections import Counter
 import numpy as np
 from hypothesis import strategies as st
 
-from weakbias.classifier import _FITS
+from weakbias.classifier import _FITS, loss_and_grads
 from weakbias.corpus import Corpus, Sample, SideLabel
 from weakbias.doc2vec import PvdmModel
 from weakbias.errors import InputError
+from weakbias.nn import Affine
 from weakbias.seeding import derive_seed
 
 
@@ -65,19 +66,21 @@ class NamedAdam:
             param -= self.lr * (m / m_corr) / (np.sqrt(v / v_corr) + self.eps)
 
 
-def reference_fit(model, key, spec, loss_and_grads, *arrays):
+def reference_fit(model, key, spec, inputs, targets):
     """The minibatch loop classifier._fit restructures: the same seeded
-    shuffle and batches, fresh gradients from loss_and_grads(*batch) and a
-    NamedAdam step on the parameters they are given for; the mean loss per
-    epoch goes to model.history[key]."""
-    order = np.random.default_rng(derive_seed(spec.seed, _FITS[key][0]))
-    adam, params, n, losses = NamedAdam(spec.lr), model.parameters(), len(arrays[0]), []
+    shuffle and batches, fresh gradients from loss_and_grads on each batch
+    and a NamedAdam step on the parameters they are given for; the mean loss
+    per epoch goes to model.history[key]."""
+    order_seed, _, trained, loss_fn = _FITS[key]
+    order = np.random.default_rng(derive_seed(spec.seed, order_seed))
+    adam, params, n, losses = NamedAdam(spec.lr), model.parameters(), len(inputs[0]), []
     for _ in range(spec.epochs):
         perm = order.permutation(n)
         total = 0.0
         for start in range(0, n, spec.batch_size):
             idx = perm[start : start + spec.batch_size]
-            loss, grads = loss_and_grads(*(array[idx] for array in arrays))
+            loss, grads = loss_and_grads(model, trained, loss_fn, [a[idx] for a in inputs],
+                                         [a[idx] for a in targets])
             adam.step(params, grads)
             total += loss * len(idx)
         losses.append(total / n)
@@ -129,6 +132,32 @@ def clean_batch(model, rng, n, with_text=True, margin=1e-2):
         e = rng.normal(size=(n, model.text_dim)) if with_text else None
         if preactivation_margin(model, x, e) > margin:
             return x, e
+
+
+def fd_check_loss(key, model, rng, n, n_words=3):
+    """Check the gradients loss_and_grads gives for history key `key`
+    against central differences (fd_check), on an n-row batch whose
+    rectifier inputs sit clear of zero (clean_batch). The model gains a
+    stage-2 head and an n_words word head in its dtype first; stage 2's
+    input is a random frozen trunk output."""
+    dtype = model.trunk1.W.dtype
+    model.head2 = Affine.create(rng, model.hidden_dim, 2, dtype)
+    model.word_head = Affine.create(rng, model.fused_dim, n_words, dtype)
+    model.visual_words = [f"w{j}" for j in range(n_words)]
+    x, e = clean_batch(model, rng, n)
+    labels = (rng.integers(0, 2, size=n), rng.uniform(0.5, 2.0, size=n))
+    inputs, targets = {
+        "stage1": ((x, e), labels),
+        "stage2": ((rng.normal(size=(n, model.hidden_dim)),), labels),
+        "image-only": ((x,), labels),
+        "words": ((x, e), (rng.integers(0, 2, size=(n, n_words)).astype(dtype),)),
+    }[key]
+    _, _, trained, loss_fn = _FITS[key]
+    params = {f"{name}_{attr}": getattr(getattr(model, name), attr)
+              for name in trained for attr in ("W", "b")}
+    _, grads = loss_and_grads(model, trained, loss_fn, inputs, targets)
+    assert grads.keys() == params.keys()
+    fd_check(lambda: loss_and_grads(model, trained, loss_fn, inputs, targets)[0], params, grads)
 
 
 def fd_check(loss_fn, params, grads, step=1e-4, rtol=1e-4, atol=1e-6):

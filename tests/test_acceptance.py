@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    clean_batch,
     fd_check,
+    fd_check_loss,
     feature_corpus,
     hs_probability,
     make_sample,
@@ -23,6 +23,7 @@ from helpers import (
     two_topic_corpus,
 )
 from weakbias.classifier import (
+    _FITS,
     TrainSpec,
     ablate_zero_text,
     build_model,
@@ -32,12 +33,9 @@ from weakbias.classifier import (
     rank_images_for_word,
     save_checkpoint,
     select_visual_words,
-    stage1_loss_and_grads,
-    stage2_loss_and_grads,
     train_image_only,
     train_stage1,
     train_word_head,
-    word_head_loss_and_grads,
 )
 from weakbias.corpus import (
     Corpus,
@@ -71,7 +69,6 @@ from weakbias.evaluation import (
     report_to_json,
     sentence_truncation_sweep,
 )
-from weakbias.nn import Affine
 from weakbias.pipeline import (
     PipelineConfig,
     normalize_embedding,
@@ -246,7 +243,8 @@ class TestNormalization:
 
 class TestGradientOracles:
     def test_gradient_oracles(self):
-        """Analytic gradients of all four losses match central differences."""
+        """Analytic gradients of the PV-DM position loss and of every
+        classifier trainer's loss match central differences."""
         started = time.time()
         for trial in range(20):
             rng = np.random.default_rng(500 + trial)
@@ -263,54 +261,17 @@ class TestGradientOracles:
                 {"doc": g_ctx / m, "ctx": np.tile(g_ctx / m, (n_ctx, 1)),
                  "nodes": g_nodes},
             )
-        for trial in range(20):
-            rng = np.random.default_rng(600 + trial)
-            model = build_model(8, hidden=6, fused=5, text_dim=4,
-                                seed=trial, dtype=np.float64)
-            x, e = clean_batch(model, rng, 4)
-            y = rng.integers(0, 2, size=4)
-            w = rng.uniform(0.5, 2.0, size=4)
-            _, grads = stage1_loss_and_grads(model, x, e, y, w)
-            fd_check(
-                lambda: stage1_loss_and_grads(model, x, e, y, w)[0],
-                model.parameters(),
-                grads,
-            )
-        for trial in range(20):
-            rng = np.random.default_rng(700 + trial)
-            head2 = Affine.create(rng, 6, 2, np.float64)
-            h = rng.normal(size=(4, 6))
-            y = rng.integers(0, 2, size=4)
-            w = rng.uniform(0.5, 2.0, size=4)
-            params = {"head2_W": head2.W, "head2_b": head2.b}
-            _, grads = stage2_loss_and_grads(head2, h, y, w)
-            fd_check(
-                lambda: stage2_loss_and_grads(head2, h, y, w)[0], params, grads
-            )
-        for trial in range(20):
-            rng = np.random.default_rng(800 + trial)
-            model = build_model(8, hidden=6, fused=5, text_dim=4,
-                                seed=90 + trial, dtype=np.float64)
-            model.word_head = Affine.create(rng, model.fused_dim, 3, np.float64)
-            model.visual_words = ["a", "b", "c"]
-            x, e = clean_batch(model, rng, 4)
-            targets = rng.integers(0, 2, size=(4, 3)).astype(np.float64)
-            params = {
-                k: v
-                for k, v in model.parameters().items()
-                if not k.startswith(("head1", "head2"))
-            }
-            _, grads = word_head_loss_and_grads(model, x, e, targets)
-            fd_check(
-                lambda: word_head_loss_and_grads(model, x, e, targets)[0],
-                params,
-                grads,
-            )
+        for offset, key in enumerate(_FITS):
+            for trial in range(20):
+                rng = np.random.default_rng(600 + 100 * offset + trial)
+                model = build_model(8, hidden=6, fused=5, text_dim=4,
+                                    seed=trial, dtype=np.float64)
+                fd_check_loss(key, model, rng, 4)
         elapsed = time.time() - started
         _verdict(
             "gradient-oracles",
             elapsed < 60.0,
-            f"4 losses x 20 instances, step 1e-4, rel tol 1e-4, {elapsed:.1f}s",
+            f"5 losses x 20 instances, step 1e-4, rel tol 1e-4, {elapsed:.1f}s",
         )
 
 

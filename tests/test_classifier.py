@@ -3,7 +3,6 @@
 import math
 import struct
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -14,8 +13,7 @@ from helpers import (
     BINARY_MUTATIONS,
     U32_MAX,
     NamedAdam,
-    clean_batch,
-    fd_check,
+    fd_check_loss,
     feature_corpus,
     make_corpus,
     make_sample,
@@ -28,29 +26,26 @@ from helpers import (
 )
 from weakbias.corpus import ClassWeights, Corpus, SideLabel
 from weakbias.classifier import (
+    _FITS,
     BiasModel,
     TrainSpec,
     _dense_relu,
     _fit,
-    _fused_forward,
-    _trunk_forward,
+    _forward,
     ablate_zero_text,
     argmax_sides,
     build_model,
     forward_stage1,
-    image_only_loss_and_grads,
     load_checkpoint,
+    loss_and_grads,
     predict_batch,
     rank_images_for_word,
     save_checkpoint,
     select_visual_words,
-    stage1_loss_and_grads,
-    stage2_loss_and_grads,
     train_image_only,
     train_stage1,
     train_stage2,
     train_word_head,
-    word_head_loss_and_grads,
 )
 from weakbias.errors import InputError
 from weakbias.nn import (
@@ -74,26 +69,11 @@ def tiny_model(seed=0, f_dim=8, hidden=6, fused=5, text_dim=7):
     )
 
 
-def toy_batch(rng, n, model, with_text=True):
-    x, e = clean_batch(model, rng, n, with_text=with_text)
-    y = rng.integers(0, 2, size=n)
-    w = rng.uniform(0.5, 2.0, size=n)
-    return x, e, y, w
-
-
-def fit_loss(key, model):
-    """The loss_and_grads a trainer hands _fit for history key `key`."""
-    if key == "stage2":
-        return partial(stage2_loss_and_grads, model.head2)
-    loss = {"stage1": stage1_loss_and_grads, "image-only": image_only_loss_and_grads,
-            "words": word_head_loss_and_grads}[key]
-    return partial(loss, model)
-
-
 def fit_setup(key, dtype, f_dim, hidden, fused, text_dim, n_words, n, seed):
-    """A model in `dtype` with both extra heads and n rows of the arrays
-    the trainer of history key `key` hands _fit: features, embeddings,
-    frozen trunk outputs, labels, weights or word targets."""
+    """A model in `dtype` with both extra heads and n rows of the inputs
+    and targets the trainer of history key `key` hands _fit: features,
+    embeddings or frozen trunk outputs, and labels and weights or word
+    targets."""
     rng = np.random.default_rng(seed)
     model = build_model(f_dim, hidden=hidden, fused=fused, text_dim=text_dim, seed=seed,
                         dtype=dtype)
@@ -105,17 +85,17 @@ def fit_setup(key, dtype, f_dim, hidden, fused, text_dim, n_words, n, seed):
     labels = rng.integers(0, 2, size=n)
     weights = rng.uniform(0.5, 2.0, size=n).astype(dtype)
     arrays = {
-        "stage1": (features, text, labels, weights),
-        "stage2": (rng.uniform(0, 2, size=(n, hidden)).astype(dtype), labels, weights),
-        "image-only": (features, labels, weights),
-        "words": (features, text, rng.integers(0, 2, size=(n, n_words)).astype(dtype)),
+        "stage1": ((features, text), (labels, weights)),
+        "stage2": ((rng.uniform(0, 2, size=(n, hidden)).astype(dtype),), (labels, weights)),
+        "image-only": ((features,), (labels, weights)),
+        "words": ((features, text), (rng.integers(0, 2, size=(n, n_words)).astype(dtype),)),
     }[key]
     return model, arrays
 
 
 @st.composite
 def fit_cases(draw):
-    """(history key, model, spec, training arrays) for one _fit (fit_setup)
+    """(history key, model, spec, (inputs, targets)) for one _fit (fit_setup)
     at drawn widths and row count, in float32 or float64."""
     key = draw(st.sampled_from(["stage1", "stage2", "image-only", "words"]))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
@@ -271,7 +251,7 @@ class TestFlatStep:
         kernel); the fusion and stage-1 head arrays are the model's own."""
         model, arrays = fit_setup("image-only", dtype, 3, 5, 2, 3, 1, 4, 0)
         frozen = [model.fusion.W, model.fusion.b, model.head1.W, model.head1.b]
-        _fit(model, "image-only", TrainSpec(epochs=1), fit_loss("image-only", model), *arrays)
+        _fit(model, "image-only", TrainSpec(epochs=1), *arrays)
         trained = [getattr(layer, a) for layer in (model.trunk1, model.trunk2, model.head2)
                    for a in ("W", "b")]
         assert len({id(array.base) for array in trained}) == 1
@@ -282,8 +262,8 @@ class TestFlatStep:
     @staticmethod
     def check_fit(key, model, spec, arrays):
         fitted, expected = model.copy(), model.copy()
-        _fit(fitted, key, spec, fit_loss(key, fitted), *arrays)
-        reference_fit(expected, key, spec, fit_loss(key, expected), *arrays)
+        _fit(fitted, key, spec, *arrays)
+        reference_fit(expected, key, spec, *arrays)
         assert fitted.history == expected.history
         for name, array in expected.parameters().items():
             got = fitted.parameters()[name]
@@ -328,57 +308,13 @@ class TestForwardStage1:
 
 
 class TestGradients:
-    """Every analytic gradient is validated against central differences in
-    64-bit mode."""
+    """Every trainer's analytic gradient is validated against central
+    differences in 64-bit mode."""
 
-    def test_stage1_gradients(self):
+    @pytest.mark.parametrize("key", list(_FITS))
+    def test_gradients(self, key):
         for seed in range(3):
-            model = tiny_model(seed=seed)
-            rng = np.random.default_rng(100 + seed)
-            x, e, y, w = toy_batch(rng, 5, model)
-            params = model.parameters()
-            _, grads = stage1_loss_and_grads(model, x, e, y, w)
-            fd_check(
-                lambda: stage1_loss_and_grads(model, x, e, y, w)[0], params, grads
-            )
-
-    def test_stage2_gradients(self):
-        rng = np.random.default_rng(7)
-        head2 = Affine.create(rng, 6, 2, np.float64)
-        h = rng.normal(size=(5, 6))
-        y = rng.integers(0, 2, size=5)
-        w = rng.uniform(0.5, 2.0, size=5)
-        params = {"head2_W": head2.W, "head2_b": head2.b}
-        _, grads = stage2_loss_and_grads(head2, h, y, w)
-        fd_check(lambda: stage2_loss_and_grads(head2, h, y, w)[0], params, grads)
-
-    def test_image_only_gradients(self):
-        model = tiny_model(seed=5)
-        rng = np.random.default_rng(8)
-        model.head2 = Affine.create(rng, model.hidden_dim, 2, np.float64)
-        x, _, y, w = toy_batch(rng, 5, model)
-        params = {
-            k: v for k, v in model.parameters().items()
-            if k.startswith(("trunk", "head2"))
-        }
-        _, grads = image_only_loss_and_grads(model, x, y, w)
-        fd_check(lambda: image_only_loss_and_grads(model, x, y, w)[0], params, grads)
-
-    def test_word_head_gradients(self):
-        model = tiny_model(seed=6)
-        rng = np.random.default_rng(9)
-        model.word_head = Affine.create(rng, model.fused_dim, 4, np.float64)
-        model.visual_words = ["a", "b", "c", "d"]
-        x, e, _, _ = toy_batch(rng, 5, model)
-        targets = rng.integers(0, 2, size=(5, 4)).astype(np.float64)
-        params = {
-            k: v for k, v in model.parameters().items()
-            if not k.startswith(("head1", "head2"))
-        }
-        _, grads = word_head_loss_and_grads(model, x, e, targets)
-        fd_check(
-            lambda: word_head_loss_and_grads(model, x, e, targets)[0], params, grads
-        )
+            fd_check_loss(key, tiny_model(seed=seed), np.random.default_rng(100 + seed), 5, 4)
 
 
 @st.composite
@@ -422,41 +358,50 @@ class TestForwardBits:
     @given(case=forward_cases())
     @settings(max_examples=100, deadline=None)
     def test_forward_matches_reference(self, case):
+        """The trunk and the fusion forward, with and without the steps
+        kept for the backward pass, and the stage-1 and stage-2 outputs."""
         model, x, text, _, _, _ = case
-        steps, fused = reference_forward(model, x, text)
-        h1_pre, h2_pre = steps[0][2], steps[1][2]
-        trunk = _trunk_forward(model, x)
-        assert len(trunk) == 2
-        assert same_bits(trunk[0], np.maximum(h1_pre, 0))
-        assert same_bits(trunk[1], np.maximum(h2_pre, 0))
-        (h1, h2), got_joint, got_fused = _fused_forward(model, x, text)
-        assert same_bits(h1, trunk[0]) and same_bits(h2, trunk[1])
-        assert same_bits(got_joint, steps[2][1]) and same_bits(got_fused, fused)
+        want_steps, fused = reference_forward(model, x, text)
+        steps = []
+        assert same_bits(_forward(model, ("trunk1", "trunk2", "fusion"), x, text, steps), fused)
+        assert [name for name, _, _ in steps] == [name for name, _, _ in want_steps]
+        for (_, got_in, got_out), (_, want_in, pre) in zip(steps, want_steps):
+            assert same_bits(got_in, want_in) and same_bits(got_out, np.maximum(pre, 0))
+        assert same_bits(_forward(model, ("trunk1", "trunk2", "fusion"), x, text), fused)
+        trunk = _forward(model, ("trunk1", "trunk2"), x)
+        assert same_bits(trunk, steps[1][2])
         assert same_bits(forward_stage1(model, x, text), fused @ model.head1.W + model.head1.b)
-        probs = softmax(trunk[1] @ model.head2.W + model.head2.b)
+        probs = softmax(trunk @ model.head2.W + model.head2.b)
         sides, got_probs = predict_batch(model, x)
         assert same_bits(got_probs, probs) and sides == argmax_sides(probs)
 
+    @pytest.mark.parametrize("key", list(_FITS))
     @given(case=forward_cases())
     @settings(max_examples=100, deadline=None)
-    def test_gradients_match_reference(self, case):
-        """Stage 1, the image-only baseline and the word head: the loss and
-        every gradient the loss function returns."""
+    def test_gradients_match_reference(self, key, case):
+        """Each trainer's loss and every gradient loss_and_grads returns for
+        it. Stage 2 runs on the reference trunk output, and its gradients
+        are the head2 part of the reference's."""
         model, x, text, labels, weights, targets = case
-        ce = partial(weighted_cross_entropy, labels=labels, weights=weights)
-        for got, want in [
-            (stage1_loss_and_grads(model, x, text, labels, weights),
-             reference_loss_and_grads(model, model.head1, "head1", ce, x, text)),
-            (image_only_loss_and_grads(model, x, labels, weights),
-             reference_loss_and_grads(model, model.head2, "head2", ce, x)),
-            (word_head_loss_and_grads(model, x, text, targets),
-             reference_loss_and_grads(model, model.word_head, "word",
-                                      partial(bce_with_logits, targets=targets), x, text)),
-        ]:
-            assert got[0] == want[0]
-            assert got[1].keys() == want[1].keys()
-            for name, grad in want[1].items():
-                assert same_bits(got[1][name], grad), name
+        _, _, trained, loss_fn = _FITS[key]
+        targets = (targets,) if loss_fn is bce_with_logits else (labels, weights)
+        text = text if "fusion" in trained else None
+
+        def loss_of(logits):
+            return loss_fn(logits, *targets)
+
+        want = reference_loss_and_grads(model, getattr(model, trained[-1]), trained[-1],
+                                        loss_of, x, text)
+        if key == "stage2":
+            inputs = (reference_forward(model, x)[1],)
+        else:
+            inputs = (x,) if text is None else (x, text)
+        got = loss_and_grads(model, trained, loss_fn, inputs, targets)
+        assert got[0] == want[0]
+        want_grads = {k: v for k, v in want[1].items() if k.rsplit("_", 1)[0] in trained}
+        assert got[1].keys() == want_grads.keys()
+        for name, grad in want_grads.items():
+            assert same_bits(got[1][name], grad), name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_masks_agree_on_signed_zeros_nan_inf_and_subnormals(self, dtype):
@@ -496,14 +441,17 @@ def traced_peak(fn, *args):
 class TestForwardMemory:
     """At n rows and trunk width hidden, the frozen trunk's forward holds
     two (n, hidden) arrays at its peak, its two layers' outputs, not four:
-    a pre-activation beside each of them would double it."""
+    a pre-activation beside each of them would double it. The inference
+    forward through the fusion layer drops each array once the next one
+    exists, so it peaks at the joined input and the fusion output."""
 
-    n, feature_dim, hidden = 2000, 64, 256
+    n, feature_dim, hidden, fused, text_dim = 2000, 64, 256, 256, 200
     slack = 256 * 1024
 
     def model_and_features(self):
         rng = np.random.default_rng(0)
-        model = build_model(self.feature_dim, hidden=self.hidden, fused=8, text_dim=8)
+        model = build_model(self.feature_dim, hidden=self.hidden, fused=self.fused,
+                            text_dim=self.text_dim)
         model.head2 = Affine.create(rng, self.hidden, 2, np.float32)
         features = rng.normal(size=(self.n, self.feature_dim)).astype(np.float32)
         return model, features, 2 * self.n * self.hidden * 4 + self.slack
@@ -511,6 +459,12 @@ class TestForwardMemory:
     def test_predict_batch_holds_two_activations(self):
         model, features, bound = self.model_and_features()
         assert traced_peak(predict_batch, model, features) <= bound
+
+    def test_forward_stage1_holds_the_joined_input_and_the_fusion_output(self):
+        model, features, _ = self.model_and_features()
+        text = np.random.default_rng(1).normal(size=(self.n, self.text_dim)).astype(np.float32)
+        bound = self.n * (self.hidden + self.text_dim) * 4 + self.n * self.fused * 4
+        assert traced_peak(forward_stage1, model, features, text) <= bound + self.slack
 
     def test_train_stage2_trunk_holds_two_activations(self):
         """train_stage2 also holds its float32 features and its copy of the

@@ -400,6 +400,7 @@ class TestOuterProduct:
     )
     @example(dtype=np.float32, n=1, dim=1, seed=0, zeros=0.0)
     @example(dtype=np.float64, n=40, dim=96, seed=1, zeros=0.3)
+    @example(dtype=np.float64, n=1, dim=34, seed=473, zeros=0.5)
     @settings(max_examples=200, deadline=None)
     def test_dot_of_a_column_and_a_row_is_the_broadcast_multiply(self, dtype, n, dim, seed,
                                                                   zeros):
@@ -413,14 +414,13 @@ class TestOuterProduct:
         tiny, big = (math.log10(f) for f in (np.finfo(dtype).smallest_subnormal,
                                              np.finfo(dtype).max))
         with np.errstate(over="ignore"):
-            coef, context = (
-                (rng.normal(size=k) * 10.0 ** rng.uniform(tiny, big, size=k)
-                 * (rng.random(k) >= zeros)).astype(dtype)
-                for k in (n, dim)
-            )
-        for x in (coef, context):
+            drawn = [((rng.normal(size=k) * 10.0 ** rng.uniform(tiny, big, size=k)).astype(dtype),
+                      rng.random(k) >= zeros) for k in (n, dim)]
+        for x, kept in drawn:  # overflows become the maximum before the zeros go in
             x[~np.isfinite(x)] = np.finfo(dtype).max
+            x *= kept
             x[rng.random(x.size) < zeros / 2] = -0.0
+        (coef, _), (context, _) = drawn
         g = np.empty((n + 3, dim), dtype)
         coef_col, context_row = coef[:, None], context[None]
         with np.errstate(over="ignore", under="ignore"):
