@@ -42,7 +42,7 @@ from .binio import (
     write_matrix,
     write_vector,
 )
-from .corpus import ClassWeights, Corpus, Sample, SideLabel
+from .corpus import ClassWeights, Corpus, Sample, SideLabel, row_block
 from .errors import InputError, NumericError
 from .nn import Adam, Affine, bce_with_logits, softmax, weighted_cross_entropy
 from .seeding import derive_seed
@@ -210,7 +210,8 @@ def loss_and_grads(
     output, then the text embedding if a fusion layer is trained), and the
     gradients of every trained layer, stored in `grads` (written into the
     arrays it holds, when given). Each rectified layer's gradient is masked
-    by its output."""
+    by its output, and its arrays are dropped once its gradients are
+    stored."""
     head = getattr(model, trained[-1])
     if head is None:
         raise InputError(f"model has no {trained[-1]} layer")
@@ -219,10 +220,11 @@ def loss_and_grads(
     loss, d = loss_fn(head(x), *targets)
     grads = {} if grads is None else grads
     d = _affine_backward(grads, trained[-1], x, d, head.W if steps else None)
-    for i in reversed(range(len(steps))):
-        name, inp, out = steps[i]
+    del x  # so that, popped, each layer's input and output are freed once it is done
+    while steps:
+        name, inp, out = steps.pop()
         d = d[:, : out.shape[1]] * (out > 0)
-        d = _affine_backward(grads, name, inp, d, getattr(model, name).W if i else None)
+        d = _affine_backward(grads, name, inp, d, getattr(model, name).W if steps else None)
     return loss, grads
 
 
@@ -242,7 +244,14 @@ def _training_data(corpus: Corpus, spec: TrainSpec):
 def embedding_matrix(
     samples: list[Sample], embeddings: dict[str, np.ndarray], dtype
 ) -> np.ndarray:
-    """The samples' document embeddings stacked in order, one row each."""
+    """The samples' document embeddings in order, one row each. A sidecar
+    from load_embeddings whose ids run in the samples' order comes back as
+    its read-only float32 block (row_block) when dtype is float32; any other
+    dict is stacked."""
+    if np.dtype(dtype) == np.float32 and list(embeddings) == [s.id for s in samples]:
+        block = row_block(list(embeddings.values()))
+        if block is not None:
+            return block
     rows = []
     for sample in samples:
         if sample.id not in embeddings:

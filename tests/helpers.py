@@ -3,11 +3,13 @@ PV-DM oracles (the position plan, the per-position loss and its gradients,
 and the hierarchical-softmax probability) and the classifier's oracles (a
 forward that keeps every pre-activation and the gradients masked by them,
 name-keyed Adam and the minibatch loop) that the trainers and the
-acceptance checks are tested against, and the mutations the binary-file
-fuzz tests apply."""
+acceptance checks are tested against, the mutations the binary-file fuzz
+tests apply, and a counter of the Python-level calls a function makes."""
 
+import gc
 import json
 import struct
+import sys
 from collections import Counter
 
 import numpy as np
@@ -408,3 +410,35 @@ def mutate_binary(data, mutation, keys):
     if at == len(data):
         return data
     return data[:at] + bytes([data[at] ^ rest[0]]) + data[at + 1:]
+
+
+def python_calls(fn, *args):
+    """fn(*args) and the Python-level function calls it makes, its own
+    included, as a Counter of "module.name": sys.setprofile "call" events.
+    Calls into C (ufuncs, ndarray methods) are "c_call" events and are not
+    counted. The call runs after a collection with the garbage collector
+    paused, so no finalizer or weakref callback of a collection that happens
+    to fall inside it (threading.RLock, abc.__instancecheck__) is counted."""
+    calls, previous = Counter(), sys.getprofile()
+
+    def count(frame, event, arg):
+        if event == "call":
+            name = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)  # Python >= 3.11
+            calls[f"{frame.f_globals.get('__name__')}.{name}"] += 1
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+        if enabled:
+            gc.enable()
+    return result, calls
+
+
+def frames_apart(a, b):
+    """Per frame name, how many more calls Counter b holds than a."""
+    return {name: b[name] - a[name] for name in sorted(a.keys() | b.keys()) if a[name] != b[name]}

@@ -433,15 +433,22 @@ class TestCanonicalRule:
 
 class TestTwoStageBenefit:
     def test_two_stage_benefit(self, benchmark_arms):
+        """The gate is on the mean margin; the verdict line also prints each
+        seed's stage-2 - direct margin and the mean's standard error, so a
+        change of rounding that moves the mean shows against its spread."""
         rows = benchmark_arms["rows"]
         stage2 = float(np.mean([r["stage2"] for r in rows]))
         direct = float(np.mean([r["direct"] for r in rows]))
+        margins = np.array([r["stage2"] - r["direct"] for r in rows]) * 100
+        stderr = float(margins.std(ddof=1) / np.sqrt(len(margins)))
         elapsed = benchmark_arms["elapsed"]
         _verdict(
             "two-stage-benefit",
             stage2 - direct >= 0.03 and elapsed < 300.0,
             f"stage2 {stage2:.4f} vs direct {direct:.4f} "
-            f"(+{(stage2 - direct) * 100:.1f} pts over 5 seeds), {elapsed:.0f}s",
+            f"(+{(stage2 - direct) * 100:.1f} pts over 5 seeds; by seed "
+            f"{', '.join(f'{m:+.1f}' for m in margins)} pts, standard error "
+            f"{stderr:.1f} pts), {elapsed:.0f}s",
         )
 
 

@@ -15,16 +15,19 @@ from helpers import (
     NamedAdam,
     fd_check_loss,
     feature_corpus,
+    frames_apart,
     make_corpus,
     make_sample,
     mutate_binary,
+    python_calls,
     reference_fit,
     reference_forward,
     reference_loss_and_grads,
     with_float_replaced,
     with_header_field,
 )
-from weakbias.corpus import ClassWeights, Corpus, SideLabel
+from weakbias.cli import main
+from weakbias.corpus import ClassWeights, Corpus, SideLabel, load_corpus, save_corpus
 from weakbias.classifier import (
     _FITS,
     BiasModel,
@@ -35,6 +38,7 @@ from weakbias.classifier import (
     ablate_zero_text,
     argmax_sides,
     build_model,
+    embedding_matrix,
     forward_stage1,
     load_checkpoint,
     loss_and_grads,
@@ -47,6 +51,7 @@ from weakbias.classifier import (
     train_stage2,
     train_word_head,
 )
+from weakbias.doc2vec import load_embeddings, save_embeddings
 from weakbias.errors import InputError
 from weakbias.nn import (
     _ADAM_CHUNK,
@@ -56,6 +61,7 @@ from weakbias.nn import (
     softmax,
     weighted_cross_entropy,
 )
+from weakbias.synthetic import SyntheticSpec, make_synthetic
 
 
 def tiny_model(seed=0, f_dim=8, hidden=6, fused=5, text_dim=7):
@@ -225,6 +231,55 @@ class TestFlatStep:
             oracle.step(named, {k: grad[a:b] for k, a, b in zip(named, cuts, cuts[1:])})
             adam.step(grad)
         assert flat.tobytes() == np.concatenate(list(named.values())).tobytes()
+
+    @staticmethod
+    def steps_against_oracle(size, buffers=None, n_steps=6):
+        """n_steps Adam steps over `size` float32 parameters, the gradient
+        of step i refilled in place into buffers[i % len(buffers)], or a
+        fresh array each step without buffers: the flat vector after them
+        and the one NamedAdam makes from the same gradients, as bytes."""
+        rng = np.random.default_rng(9)
+        flat = rng.normal(size=size).astype(np.float32)
+        named, adam, oracle = {"p": flat.copy()}, Adam(flat, lr=0.01), NamedAdam(0.01)
+        for i in range(n_steps):
+            grad = (rng.normal(size=size) * 10.0 ** rng.integers(-4, 2, size)).astype(np.float32)
+            if buffers is not None:
+                buffers[i % len(buffers)][...] = grad
+                grad = buffers[i % len(buffers)]
+            oracle.step(named, {"p": grad})
+            adam.step(grad)
+        return flat.tobytes(), named["p"].tobytes()
+
+    def test_second_gradient_buffer_matches_name_keyed_adam(self):
+        """Steps that alternate between two gradient buffers, and steps on a
+        fresh array each time, rebuild the chunk views for each new buffer:
+        the oracle's bits at every step count."""
+        size = 2 * _ADAM_CHUNK + 77
+        two = [np.empty(size, np.float32), np.empty(size, np.float32)]
+        got, expected = self.steps_against_oracle(size, two)
+        assert got == expected
+        got, expected = self.steps_against_oracle(size)
+        assert got == expected
+
+    def test_buffer_refilled_in_place_matches_name_keyed_adam(self):
+        """One gradient buffer refilled before every step, as _fit's is: the
+        views built at the first step see each new gradient."""
+        size = 3 * _ADAM_CHUNK - 5
+        got, expected = self.steps_against_oracle(size, [np.empty(size, np.float32)])
+        assert got == expected
+
+    def test_step_calls_do_not_grow_with_chunks(self):
+        """A step over seven chunks makes the Python-level calls of a step
+        over one, at its first step with a buffer and at a later one: no
+        Python frame runs per chunk."""
+        def calls(n_chunks):
+            params = np.zeros(n_chunks * _ADAM_CHUNK, np.float32)
+            adam, grad = Adam(params), np.ones_like(params)
+            return [python_calls(adam.step, grad)[1] for _ in range(2)]
+
+        one, seven = calls(1), calls(7)
+        for at_one, at_seven in zip(one, seven):
+            assert at_one == at_seven, f"frames seven chunks add: {frames_apart(at_one, at_seven)}"
 
     @given(case=fit_cases())
     @settings(max_examples=100, deadline=None)
@@ -438,6 +493,17 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def traced_held(fn, *args):
+    """The bytes of the memory fn(*args) allocates that are still allocated
+    when it returns, read while its result is alive."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 class TestForwardMemory:
     """At n rows and trunk width hidden, the frozen trunk's forward holds
     two (n, hidden) arrays at its peak, its two layers' outputs, not four:
@@ -476,6 +542,40 @@ class TestForwardMemory:
         assert traced_peak(train_stage2, model, corpus, spec) <= bound + held
 
 
+class TestTrainStage1Memory:
+    """`weakbias train-stage1` at fusion-train's shape (1,600 rows of 64
+    features, a 200-dim sidecar, hidden and fused 256) trains on the loaded
+    feature block and sidecar block themselves. Its tracemalloc peak is what
+    loading the two files holds, the four vectors of the model's 199,938
+    trained values (parameters, gradients, both Adam moments), Adam's
+    scratch, and `slack` for one batch's activations and the command's own
+    objects. On CPython 3.11 with numpy 2.4 that bound is 6.9 MiB and the
+    peak 6.7 MiB; a second copy of either input (1.6 MiB of the two) does
+    not fit under it."""
+
+    n, feature_dim, text_dim, slack = 1600, 64, 200, 0.72 * 2**20
+
+    def test_peak_holds_each_input_once(self, tmp_path):
+        corpus = make_synthetic(SyntheticSpec(n_samples=self.n, feature_dim=self.feature_dim,
+                                              seed=7))
+        rows = np.random.default_rng(7).normal(size=(self.n, self.text_dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        paths = {name: str(tmp_path / name) for name in ("c.jsonl", "e.jsonl", "m.ckpt")}
+        save_corpus(corpus, paths["c.jsonl"])
+        save_embeddings(dict(zip(corpus.ids(), rows.astype(np.float32))), paths["e.jsonl"])
+        argv = ["train-stage1", "--corpus", paths["c.jsonl"], "--embeddings", paths["e.jsonl"],
+                "--model-out", paths["m.ckpt"], "--seed", "7", "--epochs"]
+        assert main(argv + ["0"]) == 0  # imports and caches a first run makes
+        held = traced_held(lambda: (load_corpus(paths["c.jsonl"]),
+                                    load_embeddings(paths["e.jsonl"])))
+        peak = traced_peak(main, argv + ["1"])
+        model = load_checkpoint(paths["m.ckpt"])
+        values = sum(a.size for a in model.parameters().values()) * 4
+        assert values == 199938 * 4
+        bound = held + 4 * values + 2 * _ADAM_CHUNK * 4 + self.slack
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
 class TestTrainingInputs:
     @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf, -math.inf])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
@@ -494,6 +594,43 @@ class TestTrainingInputs:
         ):
             with pytest.raises(InputError, match="empty corpus"):
                 train()
+
+
+class TestEmbeddingMatrix:
+    @staticmethod
+    def sidecar(tmp_path, embeddings, ids):
+        """The embeddings of `ids`, in that order, saved and loaded back."""
+        path = str(tmp_path / "emb.jsonl")
+        save_embeddings({sid: embeddings[sid] for sid in ids}, path)
+        return load_embeddings(path)
+
+    def test_aligned_sidecar_is_its_read_only_block(self, tmp_path):
+        corpus, embeddings = multimodal_corpus(n=12)
+        loaded = self.sidecar(tmp_path, embeddings, corpus.ids())
+        matrix = embedding_matrix(corpus.samples, loaded, np.float32)
+        assert not matrix.flags.writeable
+        assert all(np.shares_memory(matrix[i], loaded[sid]) for i, sid in enumerate(corpus.ids()))
+        assert matrix.tobytes() == np.stack(list(loaded.values())).tobytes()
+
+    def test_reordered_or_longer_sidecar_is_stacked(self, tmp_path):
+        """A sidecar in another order, one with an id the corpus lacks, and
+        a float64 request: a new writable matrix in the samples' order."""
+        corpus, embeddings = multimodal_corpus(n=12)
+        extra = dict(embeddings, spare=embeddings["d000"])
+        for ids, dtype in ((corpus.ids()[::-1], np.float32), (list(extra), np.float32),
+                           (corpus.ids(), np.float64)):
+            loaded = self.sidecar(tmp_path, extra, ids)
+            matrix = embedding_matrix(corpus.samples, loaded, dtype)
+            want = np.array([loaded[sid] for sid in corpus.ids()], dtype=dtype)
+            assert matrix.flags.writeable and matrix.dtype == dtype
+            assert matrix.tobytes() == want.tobytes()
+
+    def test_missing_id_keeps_its_error(self, tmp_path):
+        corpus, embeddings = multimodal_corpus(n=6)
+        ids = [sid for sid in corpus.ids() if sid != "d003"]
+        loaded = self.sidecar(tmp_path, embeddings, ids)
+        with pytest.raises(InputError, match=r"^no document embedding for sample 'd003'$"):
+            embedding_matrix(corpus.samples, loaded, np.float32)
 
 
 class TestTrainStage1:

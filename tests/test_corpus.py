@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from weakbias.corpus import (
     build_vocabulary,
     class_weights,
     load_corpus,
+    row_block,
     save_corpus,
     split,
     tokenize,
@@ -25,6 +27,7 @@ from weakbias.corpus import (
 )
 from weakbias.doc2vec import load_embeddings, save_embeddings
 from weakbias.errors import InputError
+from weakbias.synthetic import SyntheticSpec, make_synthetic
 
 from helpers import make_corpus, make_sample
 
@@ -818,3 +821,98 @@ class TestFeatures:
         np.testing.assert_array_equal(
             features[1], np.array([0.1, 0.2, 0.3, 1e-40], dtype=np.float32)
         )
+
+    @staticmethod
+    def loaded(tmp_path, corpus):
+        path = str(tmp_path / "corpus.jsonl")
+        save_corpus(corpus, path)
+        return load_corpus(path)
+
+    def test_loaded_corpus_features_are_its_read_only_block(self, tmp_path, small_corpus):
+        """A load_corpus result's features() is the file's block, shared
+        with every sample's row and read-only, with the bits of their
+        stack."""
+        loaded = self.loaded(tmp_path, small_corpus)
+        features = loaded.features()
+        assert not features.flags.writeable
+        assert all(np.shares_memory(features[i], s.feature) for i, s in enumerate(loaded))
+        stacked = np.stack([s.feature for s in loaded])
+        assert features.dtype == np.float32 and features.tobytes() == stacked.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            features[0, 0] = 1.0
+
+    def test_other_corpora_get_a_fresh_writable_stack(self, tmp_path):
+        """A subset, both split halves, a pickled copy, a make_synthetic
+        corpus, and loaded corpora whose samples were reversed in place or
+        one of whose features was replaced: each features() is a new
+        writable array equal to the stack."""
+        synthetic = make_synthetic(SyntheticSpec(n_samples=20, seed=4))
+        loaded = self.loaded(tmp_path, synthetic)
+        reversed_in_place = self.loaded(tmp_path, synthetic)
+        reversed_in_place.samples.reverse()
+        replaced = self.loaded(tmp_path, synthetic)
+        replaced[3].feature = replaced[3].feature.copy()
+        corpora = [
+            synthetic,
+            loaded.subset(loaded.ids()[:7]),
+            *split(loaded, 0.25, seed=1),
+            pickle.loads(pickle.dumps(loaded)),
+            reversed_in_place,
+            replaced,
+        ]
+        for corpus in corpora:
+            features = corpus.features()
+            assert features.flags.writeable
+            assert not any(np.shares_memory(features, s.feature) for s in corpus)
+            stacked = np.stack([s.feature for s in corpus])
+            assert features.tobytes() == stacked.tobytes()
+            assert corpus.finite_features().tobytes() == stacked.tobytes()
+
+    def test_finite_features_of_a_block_names_the_first_bad_sample(self, tmp_path, small_corpus):
+        """finite_features() of a loaded corpus is its block; a non-finite
+        value written into two of its rows names the first of them, and a
+        corpus declaring another feature_dim names its first sample as
+        before."""
+        loaded = self.loaded(tmp_path, small_corpus)
+        assert np.shares_memory(loaded.finite_features(), loaded[0].feature)
+        loaded[3].feature[0] = np.inf
+        loaded[1].feature[2] = np.nan
+        with pytest.raises(InputError, match=r"^sample 'a2': feature has non-finite entries$"):
+            loaded.finite_features()
+        wider = Corpus(loaded.feature_dim + 1, loaded.samples)
+        with pytest.raises(InputError, match="sample 'a1': feature length 4 does not match "
+                                             "declared feature_dim 5"):
+            wider.finite_features()
+
+
+class TestRowBlock:
+    # The rows' base is the array that owns their memory; a reshaped arange
+    # would be a view, so np.array copies it into a block of its own.
+    def test_rows_of_one_block_in_order_give_it_read_only(self):
+        block = np.array(np.arange(12).reshape(4, 3), dtype=np.float32)
+        view = row_block(list(block))
+        assert view is not None and not view.flags.writeable
+        assert np.shares_memory(view, block) and view.tobytes() == block.tobytes()
+
+    def test_any_other_list_gives_none(self):
+        """Rows out of order, repeated, fewer than the block's, parts of
+        rows, rows of a float64 block, of another dtype's view of a float32
+        block or of a Fortran-ordered block, rows of two blocks, rows of no
+        block, and no rows."""
+        block = np.arange(12, dtype=np.float32).reshape(4, 3)
+        rows = list(block)
+        cases = [
+            rows[::-1],
+            [rows[0], rows[0], rows[2], rows[3]],
+            rows[:3],
+            [row[:2] for row in rows],
+            list(block.astype(np.float64)),
+            list(block.view(np.int32)),
+            list(np.asfortranarray(block)),
+            rows[:2] + list(block.copy())[2:],
+            [row.copy() for row in rows],
+            [],
+        ]
+        for i, case in enumerate(cases):
+            assert row_block(case) is None, i
+

@@ -5,7 +5,6 @@ import gc
 import json
 import math
 import struct
-import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -39,12 +38,14 @@ from helpers import (
     BINARY_MUTATIONS,
     U32_MAX,
     _sigmoid,
+    frames_apart,
     hs_probability,
     make_corpus,
     mutate_binary,
     path_gradients,
     position_loss,
     position_plan,
+    python_calls,
     two_topic_corpus,
     with_float_replaced,
     with_header_field,
@@ -887,38 +888,6 @@ class TestBatchedInference:
     def test_seed_count_mismatch_is_an_error(self, inference_model):
         with pytest.raises(InputError, match="2 seeds for 1 documents"):
             infer_documents(inference_model, [["red0"]], seeds=[1, 2])
-
-
-def python_calls(fn, *args):
-    """fn(*args) and the Python-level function calls it makes, its own
-    included, as a Counter of "module.name": sys.setprofile "call" events.
-    Calls into C (ufuncs, ndarray methods) are "c_call" events and are not
-    counted. The call runs after a collection with the garbage collector
-    paused, so no finalizer or weakref callback of a collection that happens
-    to fall inside it (threading.RLock, abc.__instancecheck__) is counted."""
-    calls, previous = Counter(), sys.getprofile()
-
-    def count(frame, event, arg):
-        if event == "call":
-            name = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)  # Python >= 3.11
-            calls[f"{frame.f_globals.get('__name__')}.{name}"] += 1
-
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(previous)
-        if enabled:
-            gc.enable()
-    return result, calls
-
-
-def frames_apart(a, b):
-    """Per frame name, how many more calls Counter b holds than a."""
-    return {name: b[name] - a[name] for name in sorted(a.keys() | b.keys()) if a[name] != b[name]}
 
 
 class TestPythonCallsPerPosition:
