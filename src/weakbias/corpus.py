@@ -110,7 +110,7 @@ class Corpus:
         if (base is None or base.shape != (len(self.samples), self.feature_dim)
                 or not all(s.feature is row for s, row in zip(self.samples, rows))):
             return None
-        return read_only(base)
+        return _read_only(base)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -155,7 +155,7 @@ class Corpus:
         if block is None:
             return float_block(self.ids(), [s.feature for s in self.samples], label,
                                self.feature_dim)
-        return finite_block(self.ids(), block, label)
+        return _finite_block(self.ids(), block, label)
 
     def subset(self, ids: Iterable[str]) -> "Corpus":
         """New corpus with the given samples, original order preserved."""
@@ -383,10 +383,10 @@ def float_block(ids: list[str], rows: list, label: str, dim: int | None = None) 
             )
     with np.errstate(over="ignore"):
         block = np.array(rows, dtype=np.float32).reshape(len(rows), dim)
-    return finite_block(ids, block, label)
+    return _finite_block(ids, block, label)
 
 
-def finite_block(ids: list[str], block: np.ndarray, label: str) -> np.ndarray:
+def _finite_block(ids: list[str], block: np.ndarray, label: str) -> np.ndarray:
     """block, after an InputError naming the id (label.format of it) of its
     first row that is not finite."""
     finite = np.isfinite(block).all(axis=1)
@@ -415,10 +415,10 @@ def row_block(rows: list) -> np.ndarray | None:
                 or row.shape != shape or row.ctypes.data != address):
             return None
         address += step
-    return read_only(base)
+    return _read_only(base)
 
 
-def read_only(array: np.ndarray) -> np.ndarray:
+def _read_only(array: np.ndarray) -> np.ndarray:
     """A view of array that cannot be written through."""
     view = array.view()
     view.flags.writeable = False
